@@ -22,6 +22,10 @@ use webssari_ir::{
 };
 use xbmc::{CheckOptions, CheckResult, Xbmc};
 
+#[path = "../../ir/tests/support/store_php.rs"]
+mod store_php;
+use store_php::sql_store_php;
+
 /// The checker's counterexample list as comparable data, preserving the
 /// checker's deterministic order (assertions in program order, branch
 /// assignments sorted within each assertion).
@@ -852,42 +856,6 @@ fn php_derived_screening_preserves_reports() {
 // rooted at real program variables — never at a store cell.
 // ---------------------------------------------------------------------
 
-/// A program mixing structured-SQL shapes: tainted concat writes,
-/// parameterized calls (clean by construction), fetch-read chains
-/// through store cells, sanitized echoes, opaque concat sinks, and
-/// branch-dependent writes.
-fn sql_store_php(ops: &[u8]) -> String {
-    let mut src = String::from("<?php ");
-    for (i, op) in ops.iter().enumerate() {
-        let t = i % 3;
-        match op % 6 {
-            0 => src.push_str(&format!(
-                "$w{i} = $_POST['w{i}']; \
-                 mysql_query(\"INSERT INTO t{t} (c) VALUES ('$w{i}')\"); "
-            )),
-            1 => src.push_str(&format!(
-                "$b{i} = $_GET['b{i}']; \
-                 execute_query(\"UPDATE t{t} SET c = ? WHERE id = {i}\", $b{i}); "
-            )),
-            2 => src.push_str(&format!(
-                "$h{i} = mysql_query('SELECT c FROM t{t}'); \
-                 $r{i} = mysql_fetch_array($h{i}); echo $r{i}; "
-            )),
-            3 => src.push_str(&format!(
-                "$e{i} = htmlspecialchars($_GET['e{i}']); echo $e{i}; "
-            )),
-            4 => src.push_str(&format!(
-                "$q{i} = 'DELETE FROM log WHERE tag=' . $_COOKIE['c{i}']; DoSQL($q{i}); "
-            )),
-            _ => src.push_str(&format!(
-                "if ($g{i}) {{ $m{i} = $_GET['m{i}']; }} else {{ $m{i} = 'lit'; }} \
-                 mysql_query(\"INSERT INTO t{t} (x) VALUES ('$m{i}')\"); "
-            )),
-        }
-    }
-    src
-}
-
 /// One writer/reader pair over the same table, lowered the way the core
 /// verifier's two-pass flow does it: pass 1 summarizes the writer's
 /// store writes (filtered with an *empty* summary), pass 2 lowers the
@@ -955,21 +923,8 @@ proptest! {
     /// fix plan is stable across repeated runs.
     #[test]
     fn store_chained_reports_are_bit_identical(write_op in 0u8..3, sanitized in any::<bool>()) {
-        let writer = match write_op {
-            0 => "<?php $v = $_POST['v']; \
-                  mysql_query(\"INSERT INTO msgs (c) VALUES ('$v')\");",
-            1 => "<?php $v = 'clean'; \
-                  mysql_query(\"INSERT INTO msgs (c) VALUES ('$v')\");",
-            _ => "<?php $v = $_GET['v']; \
-                  execute_query(\"INSERT INTO msgs (c) VALUES (?)\", $v);",
-        };
-        let reader = if sanitized {
-            "<?php $h = mysql_query('SELECT c FROM msgs'); \
-             $r = mysql_fetch_array($h); echo htmlspecialchars($r);"
-        } else {
-            "<?php $h = mysql_query('SELECT c FROM msgs'); \
-             $r = mysql_fetch_array($h); echo $r;"
-        };
+        let writer = store_php::MSGS_WRITERS[write_op as usize];
+        let reader = store_php::MSGS_READERS[usize::from(sanitized)];
         let p = reader_with_store_summary(writer, reader);
         let full = Xbmc::new(&p).check_all();
         let screened = screened_check(&p, CheckOptions::default());

@@ -1,9 +1,9 @@
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use php_front::{parse_source, resolve_includes, IncludeError, SourceSet};
 use taint_lattice::{Lattice, Powerset, TwoPoint};
 use webssari_ir::{
-    abstract_interpret_with, filter_program, filter_program_with_stores, is_store_cell, AiCmd,
+    abstract_interpret_with, filter_program, filter_program_on_demand, is_store_cell, AiCmd,
     AssertId, FilterOptions, Prelude, StoreSummary,
 };
 use xbmc::{CheckOptions, Xbmc};
@@ -232,7 +232,7 @@ impl VerifierBuilder {
             solve_budget: self.solve_budget,
             no_screen: self.no_screen,
             prefer_parameterize: self.prefer_parameterize,
-            store_summary: None,
+            store_cell: None,
         }
     }
 }
@@ -252,10 +252,11 @@ pub struct Verifier {
     solve_budget: SolveBudget,
     no_screen: bool,
     prefer_parameterize: bool,
-    /// The installed cross-request store summary (pass 1 of project
-    /// verification). `None` means each verify call computes its own
-    /// from whatever sources it was handed.
-    store_summary: Option<Arc<StoreSummary>>,
+    /// The installed batch cell for the cross-request store summary
+    /// (pass 1 of project verification), built by the first file whose
+    /// filter consults it. `None` means each verify call uses a cell of
+    /// its own over whatever sources it was handed.
+    store_cell: Option<Arc<OnceLock<StoreSummary>>>,
 }
 
 impl Verifier {
@@ -287,19 +288,41 @@ impl Verifier {
         v
     }
 
-    /// A copy of this verifier with a cross-request store summary
-    /// installed: store reads are lowered at the summary's write levels
-    /// instead of each call recomputing its own summary (pass 1).
+    /// A copy of this verifier that shares one cross-request store
+    /// summary cell across every verify call (pass 1, built on demand).
+    /// The first file whose filter consults the summary — a
+    /// `SELECT`+fetch, a `$_SESSION` read, a literal-path
+    /// `file_get_contents` — fills the cell with
+    /// [`Verifier::compute_store_summary`] of *its* sources; every later
+    /// call reads that value. So all calls through the copy must verify
+    /// files of the same source set: a batch engine hands each batch a
+    /// fresh, empty cell. A cell filled up front is the eager summary.
     ///
     /// Like the solve budget, the summary is *data about the sources*,
     /// not a result-shaping knob, so it is excluded from
     /// [`Verifier::config_description`] — a batch engine derives it from
     /// the same sources whose fingerprints already key the cache.
     #[must_use]
-    pub fn with_store_summary(&self, summary: Arc<StoreSummary>) -> Verifier {
+    pub fn with_store_cell(&self, cell: Arc<OnceLock<StoreSummary>>) -> Verifier {
         let mut v = self.clone();
-        v.store_summary = Some(summary);
+        v.store_cell = Some(cell);
         v
+    }
+
+    /// The store summary of `sources`: the installed batch cell, else
+    /// `own`, filled with [`Verifier::compute_store_summary`] on the
+    /// first call.
+    fn force_stores<'c>(
+        &'c self,
+        own: &'c OnceLock<StoreSummary>,
+        sources: &SourceSet,
+    ) -> &'c StoreSummary {
+        let cell = self.store_cell.as_deref().unwrap_or(own);
+        cell.get_or_init(|| {
+            #[cfg(test)]
+            tests::STORE_BUILDS.with(|n| n.set(n.get() + 1));
+            self.compute_store_summary(sources)
+        })
     }
 
     /// Pass 1 of second-order analysis: conservatively summarizes every
@@ -401,17 +424,13 @@ impl Verifier {
     /// supported subset.
     pub fn verify_source(&self, src: &str, file: &str) -> Result<FileReport, VerifyError> {
         let program = parse_source(src)?;
-        let stores = match &self.store_summary {
-            Some(s) => Arc::clone(s),
-            None => {
-                // Single-source two-pass: the file's own store writes
-                // feed its own reads (an INSERT above a SELECT of the
-                // same table in one script).
-                let mut set = SourceSet::new();
-                set.add_file(file, src);
-                Arc::new(self.compute_store_summary(&set))
-            }
-        };
+        // Single-source two-pass: the file's own store writes feed its
+        // own reads (an INSERT above a SELECT of the same table in one
+        // script).
+        let mut set = SourceSet::new();
+        set.add_file(file, src);
+        let own = OnceLock::new();
+        let stores = || self.force_stores(&own, &set);
         Ok(self.verify_parsed(&program, src, file, &stores))
     }
 
@@ -445,10 +464,8 @@ impl Verifier {
             ) => parse_source(&src)?,
             Err(e) => return Err(e.into()),
         };
-        let stores = match &self.store_summary {
-            Some(s) => Arc::clone(s),
-            None => Arc::new(self.compute_store_summary(sources)),
-        };
+        let own = OnceLock::new();
+        let stores = || self.force_stores(&own, sources);
         Ok(self.verify_parsed(&program, &src, entry, &stores))
     }
 
@@ -458,11 +475,12 @@ impl Verifier {
     /// [`ProjectReport::failed_files`] rather than aborting the project,
     /// matching how a batch corpus run must behave.
     pub fn verify_project(&self, sources: &SourceSet) -> ProjectReport {
-        // Pass 1 once for the whole set; every file then reads stores
-        // at the project-wide write levels.
-        let shared = match &self.store_summary {
+        // Pass 1 at most once for the whole set, when the first file
+        // reads a store; every file then reads stores at the
+        // project-wide write levels.
+        let shared = match &self.store_cell {
             Some(_) => self.clone(),
-            None => self.with_store_summary(Arc::new(self.compute_store_summary(sources))),
+            None => self.with_store_cell(Arc::default()),
         };
         let mut report = ProjectReport::default();
         for (name, _) in sources.iter() {
@@ -474,12 +492,12 @@ impl Verifier {
         report
     }
 
-    fn verify_parsed(
+    fn verify_parsed<'s>(
         &self,
         program: &php_front::ast::Program,
         src: &str,
         file: &str,
-        stores: &StoreSummary,
+        stores: &dyn Fn() -> &'s StoreSummary,
     ) -> FileReport {
         match &self.policy {
             Policy::TwoPoint => {
@@ -492,15 +510,15 @@ impl Verifier {
         }
     }
 
-    fn verify_with_lattice(
+    fn verify_with_lattice<'s>(
         &self,
         program: &php_front::ast::Program,
         src: &str,
         file: &str,
-        stores: &StoreSummary,
+        stores: &dyn Fn() -> &'s StoreSummary,
         lattice: &impl Lattice,
     ) -> FileReport {
-        let f = filter_program_with_stores(
+        let f = filter_program_on_demand(
             program,
             src,
             file,
@@ -711,6 +729,82 @@ fn trace_reads_store(cx: &xbmc::Counterexample, ai: &webssari_ir::AiProgram) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Store summaries [`Verifier::force_stores`] built on this thread.
+        pub(super) static STORE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn store_builds() -> usize {
+        STORE_BUILDS.with(|n| n.get())
+    }
+
+    /// One tainted write to each kind of store, a file that reads no
+    /// store, and two readers of the store kind `reader` reads.
+    fn store_batch(reader: &str) -> SourceSet {
+        let mut set = SourceSet::new();
+        set.add_file(
+            "writer.php",
+            "<?php $v = $_POST['v']; mysql_query(\"INSERT INTO msgs (c) VALUES ('$v')\"); \
+             $_SESSION['nick'] = $_GET['n']; file_put_contents('motd.txt', $_POST['m']);",
+        );
+        set.add_file(
+            "plain.php",
+            "<?php $x = $_GET['x']; echo htmlspecialchars($x);",
+        );
+        set.add_file("reader_a.php", reader);
+        set.add_file("reader_b.php", reader);
+        set
+    }
+
+    const STORE_READERS: [&str; 3] = [
+        "<?php $h = mysql_query('SELECT c FROM msgs'); $r = mysql_fetch_array($h); echo $r;",
+        "<?php $n = $_SESSION['nick']; echo $n;",
+        "<?php $c = file_get_contents('motd.txt'); echo $c;",
+    ];
+
+    #[test]
+    fn store_cell_stays_unforced_without_a_store_read() {
+        let set = store_batch(STORE_READERS[0]);
+        let cell: Arc<OnceLock<StoreSummary>> = Arc::default();
+        let verifier = Verifier::new().with_store_cell(Arc::clone(&cell));
+        let before = store_builds();
+        for file in ["plain.php", "writer.php"] {
+            verifier.verify_file(&set, file).unwrap();
+        }
+        assert!(cell.get().is_none());
+        // Without an installed cell, a call's own cell stays unforced too.
+        Verifier::new().verify_file(&set, "plain.php").unwrap();
+        Verifier::new()
+            .verify_source("<?php echo $_GET['x'];", "f.php")
+            .unwrap();
+        assert_eq!(store_builds(), before);
+    }
+
+    #[test]
+    fn each_store_reader_forces_the_cell_once_per_batch() {
+        for reader in STORE_READERS {
+            let set = store_batch(reader);
+            let eager = Verifier::new().compute_store_summary(&set);
+            let cell: Arc<OnceLock<StoreSummary>> = Arc::default();
+            let verifier = Verifier::new().with_store_cell(Arc::clone(&cell));
+            let before = store_builds();
+            let report = verifier.verify_file(&set, "reader_a.php").unwrap();
+            assert_eq!(store_builds(), before + 1, "{reader}");
+            assert_eq!(cell.get(), Some(&eager), "{reader}");
+            // The summary carries the writer's taint into the read.
+            assert_eq!(report.outcome, FileOutcome::Vulnerable, "{reader}");
+            assert_eq!(report.bmc.stats.second_order_flows_found, 1, "{reader}");
+            verifier.verify_file(&set, "reader_b.php").unwrap();
+            assert_eq!(store_builds(), before + 1, "{reader}");
+
+            // `verify_project` is one batch: one build for two readers.
+            let before = store_builds();
+            let project = Verifier::new().verify_project(&set);
+            assert_eq!(store_builds(), before + 1, "{reader}");
+            assert_eq!(project.files[1].render_text(), report.render_text());
+        }
+    }
 
     #[test]
     fn figure1_php_support_tickets_stored_xss() {

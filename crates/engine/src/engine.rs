@@ -2,7 +2,7 @@
 //! jobs, an incremental cache, per-job solve budgets, and metrics.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use php_front::SourceSet;
@@ -325,33 +325,14 @@ impl Engine {
             Some(b) => self.verifier.with_solve_budget(b),
             None => self.verifier.clone(),
         };
-        // Pass 1 of second-order analysis runs once per batch: the
-        // store summary is a pure function of the source set, so every
-        // worker shares it instead of each `verify_file` call
-        // recomputing it O(files) times.
-        let verifier =
-            verifier.with_store_summary(Arc::new(verifier.compute_store_summary(sources)));
-
-        // Content keys: a file's own hash; include-bearing files also
-        // fold in the whole set, since their verdict can depend on any
-        // other file (conservative but sound — include resolution is
-        // dynamic enough that computing the precise closure up front
-        // would duplicate the parser).
-        let set_hash = sources.iter().fold(0u64, |h, (name, src)| {
-            hash::combine(h, content_hash(name, src))
-        });
-        let names: Vec<(String, u64)> = sources
-            .iter()
-            .map(|(name, src)| {
-                let own = content_hash(name, src);
-                let key = if depends_on_set(src) {
-                    hash::combine(own, set_hash)
-                } else {
-                    own
-                };
-                (name.to_owned(), key)
-            })
-            .collect();
+        // Pass 1 of second-order analysis is built at most once per
+        // batch, and only if a job needs it: every job shares one empty
+        // cell, and the first file whose filter consults the store
+        // summary fills it. The summary is a pure function of the
+        // source set, so whichever worker builds it, every report is
+        // the same; a batch with no store-reading miss never builds it.
+        let verifier = verifier.with_store_cell(Arc::default());
+        let names = content_keys(sources);
 
         // Serve cache hits on this thread; queue the rest. Each lookup
         // takes only its own shard's lock, so concurrent batches (and
@@ -406,12 +387,12 @@ impl Engine {
                 let lane = cache.shard_of(job.2) % workers;
                 lanes[lane].push(job);
             }
-            let (done_tx, done_rx) = crossbeam::channel::unbounded::<JobDone>();
+            let (done_tx, done_rx) = mpsc::channel::<JobDone>();
             let run_job = &run_job;
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for (worker, lane) in lanes.into_iter().enumerate() {
                     let done_tx = done_tx.clone();
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for job in lane {
                             if done_tx.send(run_job(worker, job)).is_err() {
                                 break;
@@ -420,12 +401,11 @@ impl Engine {
                     });
                 }
                 drop(done_tx);
-                for done in done_rx.iter() {
+                for done in done_rx {
                     let index = done.index;
                     slots[index] = Some(Slot::Fresh(Box::new(done)));
                 }
-            })
-            .expect("engine worker panicked");
+            });
         }
 
         let report = self.assemble(started, names, slots, cache, stats);
@@ -442,8 +422,8 @@ impl Engine {
     ///
     /// The report is bit-identical to what `run_shared` produces for
     /// the same all-hit run; the only difference is that the batch
-    /// verifier setup (store summary, budget re-arm) is skipped, since
-    /// an all-hit batch never invokes the verifier. This is the
+    /// verifier setup (budget re-arm, store-summary cell) is skipped,
+    /// since an all-hit batch never invokes the verifier. This is the
     /// serving tier's warm `/verify` path: a bounded cache lookup that
     /// is cheap enough to answer inline, without a worker dispatch.
     pub(crate) fn run_cached_shared(
@@ -456,22 +436,7 @@ impl Engine {
             return None;
         }
         let started = Instant::now();
-        // Same content-key derivation as `run_shared`.
-        let set_hash = sources.iter().fold(0u64, |h, (name, src)| {
-            hash::combine(h, content_hash(name, src))
-        });
-        let names: Vec<(String, u64)> = sources
-            .iter()
-            .map(|(name, src)| {
-                let own = content_hash(name, src);
-                let key = if depends_on_set(src) {
-                    hash::combine(own, set_hash)
-                } else {
-                    own
-                };
-                (name.to_owned(), key)
-            })
-            .collect();
+        let names = content_keys(sources);
         let (name, key) = (&names[0].0, names[0].1);
         let summary = cache.lookup(name, key)?;
         stats.batch_started();
@@ -595,6 +560,29 @@ impl Engine {
         };
         report
     }
+}
+
+/// Each file's cache key, in file-name order: the file's own hash;
+/// files whose verdict can depend on other files ([`depends_on_set`])
+/// also fold in the whole set (conservative but sound — include
+/// resolution is dynamic enough that computing the precise closure up
+/// front would duplicate the parser).
+fn content_keys(sources: &SourceSet) -> Vec<(String, u64)> {
+    let set_hash = sources.iter().fold(0u64, |h, (name, src)| {
+        hash::combine(h, content_hash(name, src))
+    });
+    sources
+        .iter()
+        .map(|(name, src)| {
+            let own = content_hash(name, src);
+            let key = if depends_on_set(src) {
+                hash::combine(own, set_hash)
+            } else {
+                own
+            };
+            (name.to_owned(), key)
+        })
+        .collect()
 }
 
 /// Hashes one file's identity: its name and contents.

@@ -6,11 +6,13 @@
 //! across a fixed worker pool and adds the machinery a batch auditor
 //! needs:
 //!
-//! * **Worker pool** ([`Engine`], [`EngineBuilder`]) — N worker
-//!   threads pull `(index, file)` jobs from an MPMC channel; results
-//!   are re-ordered by file name, so the report is deterministic and
-//!   identical to the sequential [`webssari_core::Verifier`] path for
-//!   any worker count.
+//! * **Worker pool** ([`Engine`], [`EngineBuilder`]) — N scoped worker
+//!   threads each run the jobs pinned to their cache shard and send
+//!   results back over an `mpsc` channel; results are re-ordered by
+//!   file name, so the report is deterministic and identical to the
+//!   sequential [`webssari_core::Verifier`] path for any worker count.
+//!   The batch's cross-request store summary is built on demand, by the
+//!   first job whose file reads a store.
 //! * **Incremental cache** ([`Cache`]) — results keyed by content hash
 //!   and a configuration fingerprint
 //!   ([`webssari_core::Verifier::config_description`]); persisted as

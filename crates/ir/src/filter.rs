@@ -95,10 +95,31 @@ pub fn filter_program_with_stores(
     stores: &StoreSummary,
     lattice: &impl Lattice,
 ) -> FProgram {
+    filter_program_on_demand(program, src, file, prelude, options, &|| stores, lattice)
+}
+
+/// [`filter_program_with_stores`] with the summary behind an accessor
+/// that is called only where the lowering consults it: a `$_SESSION`
+/// read, a literal-path `file_get_contents`, and the initializers of
+/// the store cells the program reads. Callers pass a closure that
+/// forces a shared `OnceLock<StoreSummary>`, so a file that reaches
+/// none of these sites never builds the summary — and its result is
+/// then the same under every summary.
+pub fn filter_program_on_demand<'s>(
+    program: &Program,
+    src: &str,
+    file: &str,
+    prelude: &Prelude,
+    options: &FilterOptions,
+    stores: &dyn Fn() -> &'s StoreSummary,
+    lattice: &impl Lattice,
+) -> FProgram {
+    // Re-borrowed at the filter's own (shorter) lifetime.
+    let stores = || -> &StoreSummary { stores() };
     let mut f = Filter {
         prelude,
         options,
-        stores,
+        stores: &stores,
         file: file.to_owned(),
         src,
         lines: LineIndex::new(src),
@@ -138,6 +159,7 @@ pub fn filter_program_with_stores(
     let mut seen_cells = HashSet::new();
     for r in &f.out.store_reads {
         if seen_cells.insert(r.key.clone()) {
+            let stores = f.stores();
             // Source-after-sink provenance: name the write sites that
             // feed this read so counterexample traces show the chain.
             let (level, detail) = match stores.entry(&r.key) {
@@ -199,7 +221,8 @@ impl Scope {
 struct Filter<'a> {
     prelude: &'a Prelude,
     options: &'a FilterOptions,
-    stores: &'a StoreSummary,
+    /// Forces the store summary; see [`Filter::stores`].
+    stores: &'a dyn Fn() -> &'a StoreSummary,
     file: String,
     src: &'a str,
     lines: LineIndex,
@@ -226,6 +249,12 @@ struct Filter<'a> {
 }
 
 impl Filter<'_> {
+    /// The cross-request store summary. Every consult goes through
+    /// here, and the first one may build it.
+    fn stores(&self) -> &StoreSummary {
+        (self.stores)()
+    }
+
     fn site(&self, span: Span) -> Site {
         let line = self.lines.line(span.start);
         let snippet = if (span.end as usize) <= self.src.len() {
@@ -469,7 +498,7 @@ impl Filter<'_> {
             }
             return FExpr::Var(self.out.vars.intern(name));
         }
-        if name == "_SESSION" && self.stores.entry("_SESSION").is_some() {
+        if name == "_SESSION" && self.stores().entry("_SESSION").is_some() {
             // A session read is a store read once the summary models any
             // session write; otherwise it stays a plain variable (legacy).
             let site = Site::synthetic(&self.file, "read of $_SESSION");
@@ -485,7 +514,7 @@ impl Filter<'_> {
     fn template_var(&mut self, scope: &Scope, name: &str) -> VarId {
         if self.prelude.is_superglobal(name) {
             self.out.vars.intern(name)
-        } else if name == "_SESSION" && self.stores.entry("_SESSION").is_some() {
+        } else if name == "_SESSION" && self.stores().entry("_SESSION").is_some() {
             // Matches `var_read`: session reads resolve to the store
             // cell once the summary models any session write.
             self.out.vars.intern(&store_cell_name("_SESSION"))
@@ -932,7 +961,7 @@ impl Filter<'_> {
                     }
                     let parts = self.template_of_expr(args.first()?, scope, 0)?;
                     let key = format!("file:{}", Self::literal_text(&parts)?);
-                    self.stores.entry(&key).map(|_| key)
+                    self.stores().entry(&key).map(|_| key)
                 });
             if let Some(key) = key {
                 return self.store_read_expr(&key, self.site(span));

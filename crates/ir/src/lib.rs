@@ -43,7 +43,9 @@ mod site;
 mod vartable;
 
 pub use ai::{abstract_interpret, abstract_interpret_with, AiCmd, AiProgram, AssertId, BranchId};
-pub use filter::{filter_program, filter_program_with_stores, FilterOptions};
+pub use filter::{
+    filter_program, filter_program_on_demand, filter_program_with_stores, FilterOptions,
+};
 pub use fir::{AssertKind, FCmd, FExpr, FProgram, StoreRead, StoreWrite};
 pub use prelude::{Prelude, SocSpec};
 pub use site::Site;
