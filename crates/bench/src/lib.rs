@@ -32,6 +32,7 @@ pub mod screening;
 pub mod solver_core;
 
 use std::fmt::Write as _;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cnf::{Clause, CnfFormula, Lit, Var};
@@ -203,39 +204,38 @@ pub struct Fig10Row {
 /// Verifies every project of a corpus (in parallel across worker
 /// threads) and returns the measured per-project rows.
 pub fn verify_corpus(corpus: &Corpus, threads: usize) -> Vec<Fig10Row> {
-    let queue = parking_lot::Mutex::new(corpus.projects.iter().collect::<Vec<_>>());
-    let results = parking_lot::Mutex::new(Vec::<Fig10Row>::new());
-    crossbeam::scope(|scope| {
+    let queue = Mutex::new(corpus.projects.iter().collect::<Vec<_>>());
+    let results = Mutex::new(Vec::<Fig10Row>::new());
+    std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let verifier = Verifier::new();
                 loop {
-                    let project: &GeneratedProject = {
-                        let mut q = queue.lock();
-                        match q.pop() {
-                            Some(p) => p,
-                            None => break,
-                        }
+                    let next = queue.lock().expect("queue lock poisoned").pop();
+                    let Some(project): Option<&GeneratedProject> = next else {
+                        break;
                     };
                     let start = Instant::now();
                     let report = verifier.verify_project(&project.sources);
                     let elapsed = start.elapsed();
-                    results.lock().push(Fig10Row {
-                        name: project.name.clone(),
-                        activity: project.profile.activity,
-                        ts: report.ts_errors(),
-                        bmc: report.bmc_groups(),
-                        expected_ts: project.expected_ts,
-                        expected_bmc: project.expected_bmc,
-                        statements: project.num_statements,
-                        elapsed,
-                    });
+                    results
+                        .lock()
+                        .expect("results lock poisoned")
+                        .push(Fig10Row {
+                            name: project.name.clone(),
+                            activity: project.profile.activity,
+                            ts: report.ts_errors(),
+                            bmc: report.bmc_groups(),
+                            expected_ts: project.expected_ts,
+                            expected_bmc: project.expected_bmc,
+                            statements: project.num_statements,
+                            elapsed,
+                        });
                 }
             });
         }
-    })
-    .expect("verification workers must not panic");
-    let mut rows = results.into_inner();
+    });
+    let mut rows = results.into_inner().expect("results lock poisoned");
     rows.sort_by(|a, b| a.name.cmp(&b.name));
     rows
 }

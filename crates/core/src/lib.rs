@@ -52,4 +52,6 @@ pub use error::VerifyError;
 pub use html::render_html;
 pub use instrument::{instrument_bmc, instrument_ts, Instrumentation};
 pub use report::{FileOutcome, FileReport, FileSummary, ProjectReport, Vulnerability};
-pub use verifier::{SolveBudget, Verifier, VerifierBuilder};
+pub use verifier::{SolveBudget, StoreCell, Verifier, VerifierBuilder};
+/// The cross-request store summary a [`StoreCell`] holds.
+pub use webssari_ir::StoreSummary;

@@ -1,3 +1,4 @@
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use php_front::{parse_source, resolve_includes, IncludeError, SourceSet};
@@ -237,6 +238,56 @@ impl VerifierBuilder {
     }
 }
 
+/// One batch's cross-request store summary (pass 1 of project
+/// verification), filled on demand by the first verify call that
+/// consults it (see [`Verifier::with_store_cell`]).
+///
+/// The summary is the merge, in file-name order, of every file's store
+/// part ([`Verifier::store_part`]). A cell can be seeded with parts a
+/// caller kept from earlier batches; filling it then computes only the
+/// missing parts, and [`StoreCell::built_parts`] hands those back so the
+/// caller can keep them too.
+#[derive(Debug, Default)]
+pub struct StoreCell {
+    /// Parts supplied up front, by file name. Each must be the part of
+    /// that file's *current* program in the batch's source set.
+    seeded: BTreeMap<String, Arc<StoreSummary>>,
+    summary: OnceLock<StoreSummary>,
+    /// The parts the fill computed, in file-name order.
+    built: OnceLock<Vec<(String, Arc<StoreSummary>)>>,
+}
+
+impl StoreCell {
+    /// An empty cell seeded with known parts, keyed by file name.
+    pub fn seeded(parts: impl IntoIterator<Item = (String, Arc<StoreSummary>)>) -> Self {
+        StoreCell {
+            seeded: parts.into_iter().collect(),
+            ..StoreCell::default()
+        }
+    }
+
+    /// The summary, once some verify call has filled the cell.
+    pub fn get(&self) -> Option<&StoreSummary> {
+        self.summary.get()
+    }
+
+    /// The parts filling the cell computed (every file it was not
+    /// seeded with), in file-name order; empty while it is unfilled.
+    pub fn built_parts(&self) -> &[(String, Arc<StoreSummary>)] {
+        self.built.get().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl From<StoreSummary> for StoreCell {
+    /// A cell filled up front: the eager summary.
+    fn from(summary: StoreSummary) -> Self {
+        StoreCell {
+            summary: OnceLock::from(summary),
+            ..StoreCell::default()
+        }
+    }
+}
+
 /// The WebSSARI verification pipeline (Figure 9 of the paper): filter,
 /// abstract interpretation, renaming, constraint generation, SAT-based
 /// counterexample enumeration, and counterexample analysis.
@@ -256,7 +307,7 @@ pub struct Verifier {
     /// (pass 1 of project verification), built by the first file whose
     /// filter consults it. `None` means each verify call uses a cell of
     /// its own over whatever sources it was handed.
-    store_cell: Option<Arc<OnceLock<StoreSummary>>>,
+    store_cell: Option<Arc<StoreCell>>,
 }
 
 impl Verifier {
@@ -292,91 +343,133 @@ impl Verifier {
     /// summary cell across every verify call (pass 1, built on demand).
     /// The first file whose filter consults the summary — a
     /// `SELECT`+fetch, a `$_SESSION` read, a literal-path
-    /// `file_get_contents` — fills the cell with
-    /// [`Verifier::compute_store_summary`] of *its* sources; every later
-    /// call reads that value. So all calls through the copy must verify
-    /// files of the same source set: a batch engine hands each batch a
-    /// fresh, empty cell. A cell filled up front is the eager summary.
+    /// `file_get_contents` — fills the cell with the name-order merge of
+    /// the store parts ([`Verifier::store_part`]) of *its* sources,
+    /// taking the parts the cell was seeded with and computing the rest;
+    /// every later call reads that value. So all calls through the copy
+    /// must verify files of the same source set: a batch engine hands
+    /// each batch a fresh cell. A cell filled up front is the eager
+    /// summary.
     ///
     /// Like the solve budget, the summary is *data about the sources*,
     /// not a result-shaping knob, so it is excluded from
     /// [`Verifier::config_description`] — a batch engine derives it from
     /// the same sources whose fingerprints already key the cache.
     #[must_use]
-    pub fn with_store_cell(&self, cell: Arc<OnceLock<StoreSummary>>) -> Verifier {
+    pub fn with_store_cell(&self, cell: Arc<StoreCell>) -> Verifier {
         let mut v = self.clone();
         v.store_cell = Some(cell);
         v
     }
 
     /// The store summary of `sources`: the installed batch cell, else
-    /// `own`, filled with [`Verifier::compute_store_summary`] on the
-    /// first call.
-    fn force_stores<'c>(
-        &'c self,
-        own: &'c OnceLock<StoreSummary>,
-        sources: &SourceSet,
-    ) -> &'c StoreSummary {
-        let cell = self.store_cell.as_deref().unwrap_or(own);
-        cell.get_or_init(|| {
+    /// `own`, filled on the first call.
+    fn force_stores<'c>(&'c self, own: &'c StoreCell, sources: &SourceSet) -> &'c StoreSummary {
+        self.fill(self.store_cell.as_deref().unwrap_or(own), sources)
+    }
+
+    /// Fills `cell` with the summary of `sources`, unless it is full.
+    fn fill<'c>(&self, cell: &'c StoreCell, sources: &SourceSet) -> &'c StoreSummary {
+        cell.summary.get_or_init(|| {
             #[cfg(test)]
             tests::STORE_BUILDS.with(|n| n.set(n.get() + 1));
-            self.compute_store_summary(sources)
+            match &self.policy {
+                Policy::TwoPoint => self.merge_parts(cell, sources, &TwoPoint::new()),
+                Policy::MultiClass(lattice) => {
+                    let lattice = lattice.clone();
+                    self.merge_parts(cell, sources, &lattice)
+                }
+            }
         })
     }
 
     /// Pass 1 of second-order analysis: conservatively summarizes every
     /// cross-request store write (SQL `INSERT`/`UPDATE`, `$_SESSION`,
     /// file writes) in the source set, keyed by table/variable
-    /// identity. Files that fail to parse contribute nothing.
+    /// identity — the merge, in file-name order, of every file's
+    /// [`Verifier::store_part`].
     ///
-    /// The pass runs with an *empty* summary installed, so recorded
-    /// write levels never depend on read levels — the result is
-    /// independent of file iteration order.
+    /// Each part is computed with an *empty* summary installed, so
+    /// recorded write levels never depend on read levels — the result
+    /// is independent of file iteration order.
     pub fn compute_store_summary(&self, sources: &SourceSet) -> StoreSummary {
+        let cell = StoreCell::default();
+        self.fill(&cell, sources);
+        cell.summary.into_inner().expect("fill forces the cell")
+    }
+
+    /// One file's store contribution: the writes its resolved program
+    /// (includes inlined) makes to cross-request stores. Files that fail
+    /// to parse contribute nothing. The part depends only on what
+    /// `name`'s program reads from `sources`, so it can be reused for as
+    /// long as the file and everything it includes are unchanged.
+    pub fn store_part(&self, sources: &SourceSet, name: &str) -> StoreSummary {
+        let Some(src) = sources.file(name) else {
+            return StoreSummary::new();
+        };
         match &self.policy {
-            Policy::TwoPoint => self.store_summary_with(sources, &TwoPoint::new()),
+            Policy::TwoPoint => self.part_with(sources, name, src, &TwoPoint::new()),
             Policy::MultiClass(lattice) => {
                 let lattice = lattice.clone();
-                self.store_summary_with(sources, &lattice)
+                self.part_with(sources, name, src, &lattice)
             }
         }
     }
 
-    fn store_summary_with(&self, sources: &SourceSet, lattice: &impl Lattice) -> StoreSummary {
+    /// Merges the parts of `sources` in file-name order, taking the ones
+    /// `cell` was seeded with and recording the ones it computes.
+    fn merge_parts(
+        &self,
+        cell: &StoreCell,
+        sources: &SourceSet,
+        lattice: &impl Lattice,
+    ) -> StoreSummary {
         let mut summary = StoreSummary::new();
+        let mut built = Vec::new();
         for (name, src) in sources.iter() {
-            let program = match resolve_includes(sources, name) {
-                Ok(p) => p,
-                Err(
-                    IncludeError::DynamicIncludePath { .. }
-                    | IncludeError::MissingFile { .. }
-                    | IncludeError::IncludeCycle(_),
-                ) => match parse_source(src) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                },
-                Err(_) => continue,
+            let part = match cell.seeded.get(name) {
+                Some(part) => Arc::clone(part),
+                None => {
+                    let part = Arc::new(self.part_with(sources, name, src, lattice));
+                    built.push((name.to_owned(), Arc::clone(&part)));
+                    part
+                }
             };
-            self.summarize_program(&program, src, name, lattice, &mut summary);
+            summary.merge(&part, lattice);
         }
+        // This runs only as `cell.summary`'s one initializer, so `built`
+        // is unset here.
+        let _ = cell.built.set(built);
         summary
     }
 
-    fn summarize_program(
+    fn part_with(
         &self,
-        program: &php_front::ast::Program,
+        sources: &SourceSet,
+        name: &str,
         src: &str,
-        file: &str,
         lattice: &impl Lattice,
-        summary: &mut StoreSummary,
-    ) {
-        let f = filter_program(program, src, file, &self.prelude, &self.filter_options);
+    ) -> StoreSummary {
+        let program = match resolve_includes(sources, name) {
+            Ok(p) => p,
+            Err(
+                IncludeError::DynamicIncludePath { .. }
+                | IncludeError::MissingFile { .. }
+                | IncludeError::IncludeCycle(_),
+            ) => match parse_source(src) {
+                Ok(p) => p,
+                Err(_) => return StoreSummary::new(),
+            },
+            Err(_) => return StoreSummary::new(),
+        };
+        let f = filter_program(&program, src, name, &self.prelude, &self.filter_options);
         let ai = abstract_interpret_with(&f, lattice, self.loop_unroll);
         let state = typestate::final_state(&ai, lattice);
+        let mut part = StoreSummary::new();
         for w in &f.store_writes {
-            summary.record(&w.key, state[w.var.index()], &w.site.to_string(), lattice);
+            part.record(&w.key, state[w.var.index()], &w.site.to_string(), lattice);
         }
+        part
     }
 
     /// A deterministic, canonical text describing everything that
@@ -429,7 +522,7 @@ impl Verifier {
         // script).
         let mut set = SourceSet::new();
         set.add_file(file, src);
-        let own = OnceLock::new();
+        let own = StoreCell::default();
         let stores = || self.force_stores(&own, &set);
         Ok(self.verify_parsed(&program, src, file, &stores))
     }
@@ -464,7 +557,7 @@ impl Verifier {
             ) => parse_source(&src)?,
             Err(e) => return Err(e.into()),
         };
-        let own = OnceLock::new();
+        let own = StoreCell::default();
         let stores = || self.force_stores(&own, sources);
         Ok(self.verify_parsed(&program, &src, entry, &stores))
     }
@@ -731,7 +824,7 @@ mod tests {
     use super::*;
 
     thread_local! {
-        /// Store summaries [`Verifier::force_stores`] built on this thread.
+        /// Store summaries [`Verifier::fill`] built on this thread.
         pub(super) static STORE_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
@@ -766,7 +859,7 @@ mod tests {
     #[test]
     fn store_cell_stays_unforced_without_a_store_read() {
         let set = store_batch(STORE_READERS[0]);
-        let cell: Arc<OnceLock<StoreSummary>> = Arc::default();
+        let cell: Arc<StoreCell> = Arc::default();
         let verifier = Verifier::new().with_store_cell(Arc::clone(&cell));
         let before = store_builds();
         for file in ["plain.php", "writer.php"] {
@@ -786,7 +879,7 @@ mod tests {
         for reader in STORE_READERS {
             let set = store_batch(reader);
             let eager = Verifier::new().compute_store_summary(&set);
-            let cell: Arc<OnceLock<StoreSummary>> = Arc::default();
+            let cell: Arc<StoreCell> = Arc::default();
             let verifier = Verifier::new().with_store_cell(Arc::clone(&cell));
             let before = store_builds();
             let report = verifier.verify_file(&set, "reader_a.php").unwrap();

@@ -29,20 +29,28 @@
 //! ## Sharding
 //!
 //! [`CacheShards`] splits one logical cache into N independent shards
-//! selected by content key, each behind its own lock. Engine workers
-//! are pinned to shards, so under concurrent `/verify` traffic hot
-//! entries never bounce between threads and lookups on distinct files
-//! never contend on a single mutex. Shard choice is invisible in every
-//! report: it decides which lock a lookup takes, never what the lookup
-//! returns.
+//! selected by content key, each behind its own lock, so under
+//! concurrent `/verify` traffic lookups on distinct files never contend
+//! on a single mutex. Shard choice is invisible in every report: it
+//! decides which lock a lookup takes, never what the lookup returns.
+//!
+//! ## Store parts
+//!
+//! An entry can also hold the file's store part — its contribution to
+//! the batch's cross-request store summary ([`webssari_core::StoreCell`])
+//! — so a later batch that needs the summary recomputes only the parts
+//! of files whose content key changed. Parts live in memory only: they
+//! are never serialized, do not count toward the byte cap, and leave
+//! with their entry (eviction or replacement), so the caps bound them
+//! too.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use jsonio::{parse, Value};
 use webssari_core::json::{summary_from_value, summary_to_value};
-use webssari_core::{FileOutcome, FileSummary};
+use webssari_core::{FileOutcome, FileSummary, StoreSummary};
 
 use crate::hash;
 
@@ -106,6 +114,9 @@ pub struct CacheEntry {
     last_used: u64,
     /// Approximate serialized size, fixed at insert time.
     approx_bytes: usize,
+    /// The file's store part under `content_key`, once a batch has
+    /// computed it. Not persisted.
+    part: Option<Arc<StoreSummary>>,
 }
 
 /// An in-memory cache bound to one configuration fingerprint.
@@ -233,6 +244,10 @@ impl Cache {
     /// the source set changed since the summary was computed. A hit
     /// refreshes the entry's recency.
     pub fn lookup(&mut self, file: &str, content_key: u64) -> Option<&FileSummary> {
+        self.lookup_entry(file, content_key).map(|e| &e.summary)
+    }
+
+    fn lookup_entry(&mut self, file: &str, content_key: u64) -> Option<&CacheEntry> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(file)?;
         if entry.content_key != content_key {
@@ -241,7 +256,22 @@ impl Cache {
         self.recency.remove(&entry.last_used);
         entry.last_used = tick;
         self.recency.insert(tick, file.to_owned());
-        Some(&entry.summary)
+        Some(entry)
+    }
+
+    /// Keeps `part` as the store part of `file`'s entry, if the entry
+    /// is still the one for `content_key`. Recency is left alone.
+    fn attach_part(&mut self, file: &str, content_key: u64, part: Arc<StoreSummary>) {
+        if let Some(entry) = self.entries.get_mut(file) {
+            if entry.content_key == content_key {
+                entry.part = Some(part);
+            }
+        }
+    }
+
+    /// Number of entries holding a store part.
+    fn store_parts(&self) -> usize {
+        self.entries.values().filter(|e| e.part.is_some()).count()
     }
 
     /// Records a conclusive verification result, evicting
@@ -265,6 +295,7 @@ impl Cache {
             summary,
             last_used: tick,
             approx_bytes,
+            part: None,
         };
         if let Some(old) = self.entries.insert(file.clone(), entry) {
             self.recency.remove(&old.last_used);
@@ -408,12 +439,17 @@ impl CacheShards {
         (content_key % self.shards.len() as u64) as usize
     }
 
-    /// Looks up `file` in its shard, cloning the summary out so the
-    /// shard lock is held only for the lookup itself.
-    pub fn lookup(&self, file: &str, content_key: u64) -> Option<FileSummary> {
+    /// Looks up `file` in its shard, cloning the summary and the store
+    /// part (if one is held) out so the shard lock is held only for the
+    /// lookup itself.
+    pub fn lookup(
+        &self,
+        file: &str,
+        content_key: u64,
+    ) -> Option<(FileSummary, Option<Arc<StoreSummary>>)> {
         self.shard(self.shard_of(content_key))
-            .lookup(file, content_key)
-            .cloned()
+            .lookup_entry(file, content_key)
+            .map(|e| (e.summary.clone(), e.part.clone()))
     }
 
     /// Inserts into the owning shard; returns how many entries the
@@ -421,6 +457,18 @@ impl CacheShards {
     pub fn insert(&self, content_key: u64, summary: FileSummary) -> u64 {
         self.shard(self.shard_of(content_key))
             .insert(content_key, summary)
+    }
+
+    /// Keeps `part` as the store part of `file`'s entry in the owning
+    /// shard, if the entry is still the one for `content_key`.
+    pub fn attach_part(&self, file: &str, content_key: u64, part: Arc<StoreSummary>) {
+        self.shard(self.shard_of(content_key))
+            .attach_part(file, content_key, part);
+    }
+
+    /// Entries holding a store part, across shards.
+    pub fn store_parts(&self) -> usize {
+        self.shards.iter().map(|s| lock(s).store_parts()).sum()
     }
 
     /// Total entries across shards.
@@ -713,6 +761,33 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&again).unwrap();
+    }
+
+    #[test]
+    fn store_parts_follow_their_entries_and_stay_unsaved() {
+        let caps = CacheCaps {
+            max_entries: Some(2),
+            max_bytes: None,
+        };
+        let mut cache = Cache::empty_with_caps("fp".to_owned(), caps);
+        cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
+        cache.insert(2, sample_summary("b.php", FileOutcome::Verified));
+        let json = cache.to_json();
+        let part = Arc::new(StoreSummary::new());
+        cache.attach_part("a.php", 9, Arc::clone(&part));
+        assert_eq!(cache.store_parts(), 0, "a stale key takes no part");
+        cache.attach_part("a.php", 1, Arc::clone(&part));
+        cache.attach_part("b.php", 2, Arc::clone(&part));
+        assert_eq!(cache.store_parts(), 2);
+        assert_eq!(cache.to_json(), json, "parts are never serialized");
+        assert_eq!(cache.lookup_entry("a.php", 1).unwrap().part, Some(part));
+
+        // Replacement and eviction drop the part with the entry.
+        cache.insert(3, sample_summary("b.php", FileOutcome::Vulnerable));
+        assert_eq!(cache.store_parts(), 1);
+        cache.insert(4, sample_summary("c.php", FileOutcome::Verified));
+        assert!(cache.lookup("a.php", 1).is_none());
+        assert_eq!(cache.store_parts(), 0);
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! jobs, an incremental cache, per-job solve budgets, and metrics.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use php_front::SourceSet;
-use webssari_core::{FileOutcome, FileReport, FileSummary, SolveBudget, Verifier, VerifyError};
+use webssari_core::{
+    FileOutcome, FileReport, FileSummary, SolveBudget, StoreCell, StoreSummary, Verifier,
+    VerifyError,
+};
 
 use crate::cache::{CacheCaps, CacheShards};
 use crate::handle::EngineHandle;
@@ -306,12 +310,10 @@ impl Engine {
     /// *not* persist the cache — that is the caller's (handle's)
     /// decision.
     ///
-    /// Jobs are pinned to workers by cache shard (`shard % workers`),
-    /// so under concurrent batches a given file's cache entry is always
-    /// written by the same worker thread and shard locks never see
-    /// cross-worker contention on inserts. Pinning only changes
-    /// scheduling; slots are assembled in file-name order, so reports
-    /// stay byte-identical to the sequential path.
+    /// Workers take jobs in file-name order from one shared cursor, so
+    /// none idles while work is left. Scheduling never shows in the
+    /// report: slots are assembled in file-name order, so reports stay
+    /// byte-identical to the sequential path.
     pub(crate) fn run_shared(
         &self,
         sources: &SourceSet,
@@ -321,17 +323,6 @@ impl Engine {
     ) -> EngineReport {
         let started = Instant::now();
         stats.batch_started();
-        let verifier = match budget {
-            Some(b) => self.verifier.with_solve_budget(b),
-            None => self.verifier.clone(),
-        };
-        // Pass 1 of second-order analysis is built at most once per
-        // batch, and only if a job needs it: every job shares one empty
-        // cell, and the first file whose filter consults the store
-        // summary fills it. The summary is a pure function of the
-        // source set, so whichever worker builds it, every report is
-        // the same; a batch with no store-reading miss never builds it.
-        let verifier = verifier.with_store_cell(Arc::default());
         let names = content_keys(sources);
 
         // Serve cache hits on this thread; queue the rest. Each lookup
@@ -340,19 +331,39 @@ impl Engine {
         let mut slots: Vec<Option<Slot>> = Vec::with_capacity(names.len());
         slots.resize_with(names.len(), || None);
         let mut jobs: Vec<Job> = Vec::new();
+        let mut parts = Vec::new();
         for (index, (name, key)) in names.iter().enumerate() {
-            if let Some(summary) = cache.lookup(name, *key) {
+            if let Some((summary, part)) = cache.lookup(name, *key) {
                 stats.record_cache_hit(&summary);
                 slots[index] = Some(Slot::Hit(summary));
+                if let Some(part) = part {
+                    parts.push((name.clone(), part));
+                }
             } else {
                 jobs.push((index, name.clone(), *key));
             }
         }
 
-        let run_job = |worker: usize, (index, file, content_key): Job| {
+        // Pass 1 of second-order analysis is built at most once per
+        // batch, and only if a job needs it: every job shares one cell,
+        // and the first file whose filter consults the store summary
+        // fills it. The summary is a pure function of the source set,
+        // so whichever worker builds it, every report is the same; a
+        // batch with no store-reading miss never builds it. The cell is
+        // seeded with the store parts the hit entries hold (a part is
+        // a function of the file's content key), so filling it computes
+        // only the parts of misses and of hits that hold none.
+        let cell = Arc::new(StoreCell::seeded(parts));
+        let verifier = match budget {
+            Some(b) => self.verifier.with_solve_budget(b),
+            None => self.verifier.clone(),
+        }
+        .with_store_cell(Arc::clone(&cell));
+
+        let run_job = |worker: usize, (index, file, content_key): &Job| {
             let picked = Instant::now();
             stats.job_started();
-            let result = verifier.verify_file(sources, &file);
+            let result = verifier.verify_file(sources, file);
             let duration = picked.elapsed();
             // Live counters move the moment the job is done, not when
             // the batch is assembled — a snapshot mid-batch sees them.
@@ -362,9 +373,9 @@ impl Engine {
             }
             stats.job_finished();
             JobDone {
-                index,
-                file,
-                content_key,
+                index: *index,
+                file: file.clone(),
+                content_key: *content_key,
                 worker,
                 queue_wait: picked.duration_since(started),
                 duration,
@@ -375,25 +386,21 @@ impl Engine {
         if jobs.len() == 1 {
             // Single-job fast path — the common `/verify` shape. Run
             // inline: no scoped threads, no channels, no scheduler.
-            let done = run_job(0, jobs.pop().expect("one job"));
+            let done = run_job(0, &jobs[0]);
             let index = done.index;
             slots[index] = Some(Slot::Fresh(Box::new(done)));
         } else if !jobs.is_empty() {
             let workers = self.workers.min(jobs.len());
-            // Pin each job to the worker owning its cache shard; the
-            // per-worker lists preserve submission (file-name) order.
-            let mut lanes: Vec<Vec<Job>> = vec![Vec::new(); workers];
-            for job in jobs {
-                let lane = cache.shard_of(job.2) % workers;
-                lanes[lane].push(job);
-            }
+            // The cursor only hands out indices into `jobs`, which every
+            // worker borrows unchanged, so it publishes no data.
+            let cursor = AtomicUsize::new(0);
             let (done_tx, done_rx) = mpsc::channel::<JobDone>();
-            let run_job = &run_job;
+            let (run_job, jobs, cursor) = (&run_job, &jobs, &cursor);
             std::thread::scope(|s| {
-                for (worker, lane) in lanes.into_iter().enumerate() {
+                for worker in 0..workers {
                     let done_tx = done_tx.clone();
                     s.spawn(move || {
-                        for job in lane {
+                        while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                             if done_tx.send(run_job(worker, job)).is_err() {
                                 break;
                             }
@@ -408,7 +415,7 @@ impl Engine {
             });
         }
 
-        let report = self.assemble(started, names, slots, cache, stats);
+        let report = self.assemble(started, names, slots, cell.built_parts(), cache, stats);
         stats.batch_completed();
         report
     }
@@ -438,22 +445,25 @@ impl Engine {
         let started = Instant::now();
         let names = content_keys(sources);
         let (name, key) = (&names[0].0, names[0].1);
-        let summary = cache.lookup(name, key)?;
+        let (summary, _) = cache.lookup(name, key)?;
         stats.batch_started();
         stats.record_cache_hit(&summary);
         let slots = vec![Some(Slot::Hit(summary))];
-        let report = self.assemble(started, names, slots, cache, stats);
+        let report = self.assemble(started, names, slots, &[], cache, stats);
         stats.batch_completed();
         Some(report)
     }
 
     /// Folds filled slots into the final report and updates the
-    /// in-memory cache (persistence is the caller's decision).
+    /// in-memory cache (persistence is the caller's decision): misses
+    /// are inserted, and the store parts the batch `built` (in
+    /// file-name order) are kept beside their files' entries.
     fn assemble(
         &self,
         started: Instant,
         names: Vec<(String, u64)>,
         slots: Vec<Option<Slot>>,
+        built: &[(String, Arc<StoreSummary>)],
         cache: &CacheShards,
         stats: &EngineStats,
     ) -> EngineReport {
@@ -461,7 +471,9 @@ impl Engine {
         let mut file_metrics = Vec::with_capacity(names.len());
         let mut hits = 0usize;
         let mut misses = 0usize;
-        for ((name, _), slot) in names.into_iter().zip(slots) {
+        let mut built_parts = built.iter().peekable();
+        for ((name, key), slot) in names.into_iter().zip(slots) {
+            let part = built_parts.next_if(|(file, _)| *file == name);
             match slot.expect("every slot is either a hit or a finished job") {
                 Slot::Hit(summary) => {
                     hits += 1;
@@ -550,12 +562,18 @@ impl Engine {
                     }
                 }
             }
+            // After the insert, so a miss's new entry takes its part
+            // (an uncached outcome leaves no entry to take it).
+            if let Some((file, part)) = part {
+                cache.attach_part(file, key, Arc::clone(part));
+            }
         }
         report.metrics = EngineMetrics {
             workers: self.workers,
             wall_time: started.elapsed(),
             cache_hits: hits,
             cache_misses: misses,
+            store_parts_built: built.len(),
             files: file_metrics,
         };
         report
@@ -567,15 +585,22 @@ impl Engine {
 /// also fold in the whole set (conservative but sound — include
 /// resolution is dynamic enough that computing the precise closure up
 /// front would duplicate the parser).
+///
+/// Persisted caches are keyed by these values, so the tests pin them to
+/// a verbatim copy of the original definition, which differs only in
+/// missing include keywords that are not lowercase.
 fn content_keys(sources: &SourceSet) -> Vec<(String, u64)> {
-    let set_hash = sources.iter().fold(0u64, |h, (name, src)| {
-        hash::combine(h, content_hash(name, src))
-    });
+    let own: Vec<u64> = sources
+        .iter()
+        .map(|(name, src)| content_hash(name, src))
+        .collect();
+    let set_hash = own.iter().fold(0u64, |h, &own| hash::combine(h, own));
+    let mut lower = String::new();
     sources
         .iter()
-        .map(|(name, src)| {
-            let own = content_hash(name, src);
-            let key = if depends_on_set(src) {
+        .zip(own)
+        .map(|((name, src), own)| {
+            let key = if depends_on_set(src, &mut lower) {
                 hash::combine(own, set_hash)
             } else {
                 own
@@ -595,22 +620,134 @@ fn content_hash(name: &str, src: &str) -> u64 {
 
 /// Whether a file's verdict can depend on other files in the set.
 /// Any PHP include form (`include`, `include_once`, `require`,
-/// `require_once`) contains one of these substrings, so this test is
-/// conservative: it never misses a dependency, at worst it rebuilds an
-/// independent file.
+/// `require_once`, in any case — PHP keywords are case-insensitive)
+/// contains one of the tokens below, so this test is conservative: it
+/// never misses a dependency, at worst it rebuilds an independent file.
 ///
 /// The same reasoning covers the cross-request store model: a file
 /// whose verdict can read a store cell — a result-set fetch, a
 /// `$_SESSION` access, a `file_get_contents` call — depends on the
 /// write levels of *every* file in the set (the batch store summary).
 /// Any such read site mentions one of the store tokens below, so files
-/// without them keep per-file cache keys.
-fn depends_on_set(src: &str) -> bool {
-    if src.contains("include") || src.contains("require") {
-        return true;
+/// without them keep per-file cache keys. The scan ignores ASCII case
+/// throughout; `lower` is scratch space, reused across files.
+fn depends_on_set(src: &str, lower: &mut String) -> bool {
+    lower.clear();
+    lower.push_str(src);
+    lower.make_ascii_lowercase();
+    [
+        "include",
+        "require",
+        "fetch",
+        "_session",
+        "file_get_contents",
+        "select",
+    ]
+    .iter()
+    .any(|token| lower.contains(token))
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// `content_keys` and `depends_on_set` as first written, verbatim:
+    /// persisted caches are keyed by their values.
+    mod original {
+        use super::super::content_hash;
+        use crate::hash;
+        use php_front::SourceSet;
+
+        pub fn content_keys(sources: &SourceSet) -> Vec<(String, u64)> {
+            let set_hash = sources.iter().fold(0u64, |h, (name, src)| {
+                hash::combine(h, content_hash(name, src))
+            });
+            sources
+                .iter()
+                .map(|(name, src)| {
+                    let own = content_hash(name, src);
+                    let key = if depends_on_set(src) {
+                        hash::combine(own, set_hash)
+                    } else {
+                        own
+                    };
+                    (name.to_owned(), key)
+                })
+                .collect()
+        }
+
+        pub fn depends_on_set(src: &str) -> bool {
+            if src.contains("include") || src.contains("require") {
+                return true;
+            }
+            let lower = src.to_ascii_lowercase();
+            ["fetch", "_session", "file_get_contents", "select"]
+                .iter()
+                .any(|token| lower.contains(token))
+        }
     }
-    let lower = src.to_ascii_lowercase();
-    ["fetch", "_session", "file_get_contents", "select"]
-        .iter()
-        .any(|token| lower.contains(token))
+
+    /// Source fragments: every dependency token in several cases,
+    /// near misses, and non-ASCII text.
+    const FRAGMENTS: [&str; 22] = [
+        "<?php ",
+        "include 'a.php'; ",
+        "INCLUDE 'a.php'; ",
+        "require_once 'b.php'; ",
+        "Require 'b.php'; ",
+        "$r = mysql_fetch_array($h); ",
+        "FETCH",
+        "fetc",
+        "$_SESSION['n'] ",
+        "_sEsSiOn",
+        "file_get_contents('m.txt') ",
+        "File_Get_Contents",
+        "file_get_content",
+        "SELECT c FROM t ",
+        "Select",
+        "selec",
+        "s",
+        "f",
+        "_",
+        "echo 'é ß ünïcode'; ",
+        "$x = $_GET['x']; echo $x; ",
+        "// comment\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Keys equal the original's for every file but those whose
+        /// only include keyword is not lowercase: the original missed
+        /// that dependency, so those files now fold in the set hash.
+        #[test]
+        fn content_keys_match_the_original(
+            files in prop::collection::vec(
+                (0usize..6, prop::collection::vec(0usize..FRAGMENTS.len(), 0..12)),
+                0..6,
+            ),
+        ) {
+            let mut set = SourceSet::new();
+            for (name, fragments) in &files {
+                let src: String = fragments.iter().map(|&i| FRAGMENTS[i]).collect();
+                set.add_file(format!("f{name}.php"), src);
+            }
+            let keys = content_keys(&set);
+            let original = original::content_keys(&set);
+            prop_assert_eq!(keys.len(), original.len());
+            for (((name, key), (_, original_key)), (_, src)) in
+                keys.iter().zip(&original).zip(set.iter())
+            {
+                if depends_on_set(src, &mut String::new()) && !original::depends_on_set(src) {
+                    let lower = src.to_ascii_lowercase();
+                    prop_assert!(lower.contains("include") || lower.contains("require"), "{}", src);
+                    prop_assert!(key != original_key, "{}", name);
+                } else {
+                    prop_assert_eq!(key, original_key, "{}", name);
+                }
+            }
+        }
+    }
 }

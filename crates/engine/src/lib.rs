@@ -7,12 +7,14 @@
 //! needs:
 //!
 //! * **Worker pool** ([`Engine`], [`EngineBuilder`]) — N scoped worker
-//!   threads each run the jobs pinned to their cache shard and send
-//!   results back over an `mpsc` channel; results are re-ordered by
-//!   file name, so the report is deterministic and identical to the
+//!   threads take jobs in file-name order from one shared cursor and
+//!   send results back over an `mpsc` channel; results are re-ordered
+//!   by file name, so the report is deterministic and identical to the
 //!   sequential [`webssari_core::Verifier`] path for any worker count.
 //!   The batch's cross-request store summary is built on demand, by the
-//!   first job whose file reads a store.
+//!   first job whose file reads a store, from per-file store parts the
+//!   cache keeps in memory beside its entries — only files whose
+//!   content key changed have their part recomputed.
 //! * **Incremental cache** ([`Cache`]) — results keyed by content hash
 //!   and a configuration fingerprint
 //!   ([`webssari_core::Verifier::config_description`]); persisted as
@@ -170,28 +172,34 @@ mod tests {
 
     #[test]
     fn include_bearing_files_invalidate_with_the_set() {
-        let dir = std::env::temp_dir().join(format!(
-            "webssari-engine-inc-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id(),
-        ));
-        let mut set = SourceSet::new();
-        set.add_file("lib.php", "<?php $v = 'safe';");
-        set.add_file("main.php", "<?php include 'lib.php'; echo $v;");
-        let engine = EngineBuilder::new().cache_dir(&dir).build();
-        let first = engine.run(&set);
-        assert_eq!(first.vulnerable_files(), 0);
+        // PHP keywords are case-insensitive: every spelling is an include.
+        for keyword in ["include", "INCLUDE", "Require_Once"] {
+            let dir = std::env::temp_dir().join(format!(
+                "webssari-engine-inc-{keyword}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id(),
+            ));
+            let mut set = SourceSet::new();
+            set.add_file("lib.php", "<?php $v = 'safe';");
+            set.add_file("main.php", format!("<?php {keyword} 'lib.php'; echo $v;"));
+            let engine = EngineBuilder::new().cache_dir(&dir).build();
+            let first = engine.run(&set);
+            assert_eq!(first.vulnerable_files(), 0, "{keyword}");
 
-        // Changing only lib.php must re-verify main.php too.
-        set.add_file("lib.php", "<?php $v = $_GET['v'];");
-        let second = engine.run(&set);
-        let main = second
-            .files
-            .iter()
-            .find(|f| f.summary.file == "main.php")
-            .unwrap();
-        assert!(!main.from_cache, "stale include result served from cache");
-        assert_eq!(main.summary.outcome, FileOutcome::Vulnerable);
-        std::fs::remove_dir_all(&dir).unwrap();
+            // Changing only lib.php must re-verify main.php too.
+            set.add_file("lib.php", "<?php $v = $_GET['v'];");
+            let second = engine.run(&set);
+            let main = second
+                .files
+                .iter()
+                .find(|f| f.summary.file == "main.php")
+                .unwrap();
+            assert!(
+                !main.from_cache,
+                "{keyword}: stale include result served from cache"
+            );
+            assert_eq!(main.summary.outcome, FileOutcome::Vulnerable, "{keyword}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

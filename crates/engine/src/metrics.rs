@@ -59,6 +59,10 @@ pub struct EngineMetrics {
     pub cache_hits: usize,
     /// Files that had to be verified.
     pub cache_misses: usize,
+    /// Store parts (per-file contributions to the batch's cross-request
+    /// store summary) computed because no cache entry held them; zero
+    /// when no verified file read a store.
+    pub store_parts_built: usize,
     /// Per-file measurements, in file-name order.
     pub files: Vec<FileMetrics>,
 }
@@ -265,6 +269,7 @@ mod tests {
             wall_time: Duration::from_millis(12),
             cache_hits: 1,
             cache_misses: 1,
+            store_parts_built: 0,
             files: vec![
                 FileMetrics {
                     file: "a.php".to_owned(),

@@ -1,15 +1,18 @@
 //! The engine builds each batch's cross-request store summary on
-//! demand. These tests pin that this is invisible: verdicts still
-//! follow edits to the writers a reader depends on, and reports stay
-//! byte-identical to verifying the project against the eagerly built
-//! summary, for any worker count.
+//! demand, from per-file store parts it keeps beside its cache entries.
+//! These tests pin that this is invisible: verdicts still follow edits
+//! to the writers a reader depends on, reports stay byte-identical to
+//! verifying the project against the eagerly built summary, for any
+//! worker count, and the cache file is unchanged. They also pin that a
+//! warm handle recomputes only the parts whose content key changed.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use php_front::SourceSet;
 use proptest::prelude::*;
-use webssari_core::{FileOutcome, Verifier};
-use webssari_engine::{EngineBuilder, EngineReport};
+use webssari_core::{FileOutcome, StoreCell, Verifier};
+use webssari_engine::json::Value;
+use webssari_engine::{EngineBuilder, EngineReport, CACHE_FILE_NAME};
 
 #[path = "../../ir/tests/support/store_php.rs"]
 mod store_php;
@@ -70,11 +73,188 @@ fn reader_verdict_follows_writer_edits_on_a_warm_handle() {
     }
 }
 
+/// A reader project: a store-free data file, a plain file, a `msgs`
+/// reader and writer, and a `$_SESSION` writer. `data.php` carries a
+/// comment that [`edited`] changes.
+fn reader_project() -> SourceSet {
+    let mut set = project(MSGS_WRITERS[0]);
+    set.add_file(
+        "data.php",
+        "<?php // v1\n$rows = array('a', 'b'); echo $rows;",
+    );
+    set.add_file("session.php", "<?php $_SESSION['nick'] = $_GET['n'];");
+    set
+}
+
+/// [`reader_project`] after a comment-only edit to `data.php`.
+fn edited() -> SourceSet {
+    let mut set = reader_project();
+    set.add_file(
+        "data.php",
+        "<?php // v2\n$rows = array('a', 'b'); echo $rows;",
+    );
+    set
+}
+
+/// Every file's summary and, for fresh results, rendered report equal
+/// those of a cold run of the same set.
+fn assert_matches_cold(report: &EngineReport, set: &SourceSet, context: &str) {
+    let cold = EngineBuilder::new().build().run(set);
+    assert_eq!(report.files.len(), cold.files.len(), "{context}");
+    for (warm, cold) in report.files.iter().zip(&cold.files) {
+        assert_eq!(warm.summary, cold.summary, "{context}");
+        if warm.report.is_some() {
+            assert_eq!(warm.render_text(), cold.render_text(), "{context}");
+        }
+    }
+}
+
+fn misses(report: &EngineReport) -> Vec<&str> {
+    report
+        .files
+        .iter()
+        .filter(|f| !f.from_cache)
+        .map(|f| f.summary.file.as_str())
+        .collect()
+}
+
+/// A comment edit to a data file re-keys it and every file whose key
+/// folds in the whole set; a warm handle rebuilds the store parts of
+/// exactly those files and reuses the rest.
+#[test]
+fn a_comment_edit_rebuilds_only_the_rekeyed_parts() {
+    for workers in [1, 2] {
+        let handle = EngineBuilder::new().workers(workers).build().into_handle();
+        let set = reader_project();
+        let cold = handle.run(&set);
+        assert_eq!(
+            cold.metrics.store_parts_built,
+            set.len(),
+            "workers {workers}"
+        );
+        assert_eq!(handle.cache().store_parts(), set.len());
+
+        let warm = handle.run(&set);
+        assert_eq!(warm.metrics.cache_hits, set.len());
+        assert_eq!(warm.metrics.store_parts_built, 0);
+
+        let set = edited();
+        let report = handle.run(&set);
+        // `reader.php` and `session.php` mention store tokens, so their
+        // keys fold in the set hash the edit changed; `plain.php` and
+        // `writer.php` keep theirs.
+        assert_eq!(
+            misses(&report),
+            ["data.php", "reader.php", "session.php"],
+            "workers {workers}"
+        );
+        assert_eq!(report.metrics.store_parts_built, 3, "workers {workers}");
+        // Every entry holds a part (a shard may still hold a re-keyed
+        // file's entry of the first batch, part and all).
+        assert_eq!(handle.cache().store_parts(), handle.cached_files());
+        assert_eq!(outcome(&report, "reader.php").0, FileOutcome::Vulnerable);
+        assert_matches_cold(&report, &set, &format!("workers {workers}"));
+    }
+}
+
+/// Parts leave with their entries: under an entry cap the handle never
+/// holds more parts than live entries.
+#[test]
+fn store_parts_never_outnumber_live_entries() {
+    for workers in [1, 2] {
+        let handle = EngineBuilder::new()
+            .workers(workers)
+            .cache_max_entries(3)
+            .build()
+            .into_handle();
+        let mut held = 0;
+        for round in 0..4 {
+            let mut set = if round % 2 == 0 {
+                reader_project()
+            } else {
+                edited()
+            };
+            set.add_file(format!("extra{round}.php"), "<?php echo 'x';");
+            let report = handle.run(&set);
+            assert_eq!(outcome(&report, "reader.php").0, FileOutcome::Vulnerable);
+            assert!(handle.cached_files() <= 3, "workers {workers}");
+            assert!(
+                handle.cache().store_parts() <= handle.cached_files(),
+                "workers {workers}, round {round}"
+            );
+            held += handle.cache().store_parts();
+        }
+        assert!(held > 0, "workers {workers}: no part was ever kept");
+    }
+}
+
+/// Parts never reach the cache file: every entry keeps exactly the
+/// persisted fields, a handle that reloads the file holds no parts and
+/// writes it back byte for byte, and its first forced batch builds
+/// every part again.
+#[test]
+fn parts_stay_out_of_the_cache_file() {
+    for workers in [1, 2] {
+        let dir = std::env::temp_dir().join(format!(
+            "webssari-store-parts-{}-{workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = EngineBuilder::new()
+            .workers(workers)
+            .cache_dir(&dir)
+            .build();
+        let handle = engine.clone().into_handle();
+        handle.run(&reader_project());
+        handle.run(&edited());
+        assert!(handle.cache().store_parts() > 0);
+        handle.flush_cache().unwrap();
+        let written = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)).unwrap();
+        let doc = webssari_engine::json::parse(&written).expect("cache file is JSON");
+        let entries = doc.get("entries").and_then(|e| e.as_arr()).unwrap();
+        assert!(!entries.is_empty());
+        for entry in entries {
+            let Value::Obj(fields) = entry else {
+                panic!("entry is not an object: {}", entry.to_json());
+            };
+            let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                names,
+                ["file", "content_key", "summary"],
+                "workers {workers}"
+            );
+        }
+
+        let reloaded = engine.into_handle();
+        assert_eq!(reloaded.cached_files(), entries.len());
+        assert_eq!(reloaded.cache().store_parts(), 0);
+        reloaded.flush_cache().unwrap();
+        assert_eq!(
+            std::fs::read_to_string(dir.join(CACHE_FILE_NAME)).unwrap(),
+            written,
+            "workers {workers}"
+        );
+        let mut set = reader_project();
+        set.add_file(
+            "data.php",
+            "<?php // v3\n$rows = array('a', 'b'); echo $rows;",
+        );
+        let report = reloaded.run(&set);
+        assert_eq!(misses(&report), ["data.php", "reader.php", "session.php"]);
+        assert_eq!(
+            report.metrics.store_parts_built,
+            set.len(),
+            "workers {workers}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// The reports `Verifier::verify_project` renders with the summary
 /// built up front.
 fn eager_project_text(set: &SourceSet) -> String {
     let verifier = Verifier::new();
-    let eager = Arc::new(OnceLock::from(verifier.compute_store_summary(set)));
+    let eager = Arc::new(StoreCell::from(verifier.compute_store_summary(set)));
     let report = verifier.with_store_cell(eager).verify_project(set);
     assert!(report.failed_files.is_empty());
     report
