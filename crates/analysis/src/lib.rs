@@ -13,7 +13,10 @@
 //! 2. **Tiered discharge** ([`screen`]): assertions the polynomial
 //!    typestate pass proves clean are discharged statically with a
 //!    proof tag ([`DischargeProof`]); only the survivors — sliced down
-//!    to their cones — reach the SAT encoder.
+//!    to their cones — reach the SAT encoder. The verifier no longer
+//!    runs these first two tiers: it skips BMC on a file with no
+//!    typestate error and checks any other file's full AI. The screening
+//!    benchmark and the benchmark mirror are their remaining callers.
 //! 3. **Lint** ([`lint`], [`lint_file`]) with SARIF 2.1.0 export
 //!    ([`to_sarif_json`]): taint findings, dead sanitizers, unreachable
 //!    code, and approximation points as structured diagnostics with

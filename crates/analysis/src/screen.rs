@@ -182,6 +182,12 @@ pub struct FlowScreenResult {
 /// sliced program (dead-definition elimination + constant folding)
 /// before it reaches the encoder.
 ///
+/// Not on the verify path: `webssari_core::Verifier` gates BMC on the
+/// typestate verdict instead (a file with no TS error skips BMC, any
+/// other file is checked in full), which reaches the same reports
+/// without this work. The screening benchmark and the benchmark mirror
+/// still call it.
+///
 /// # Why the refinement is report-invisible
 ///
 /// The flow tier never changes *which* assertions are discharged — on

@@ -1,17 +1,20 @@
 //! The screening suite behind `BENCH_screen.json`: the tiered
 //! TS→slice→BMC pipeline (`webssari-analysis`) measured against the raw
-//! BMC check over the Figure 10 corpus.
+//! BMC check over the Figure 10 corpus. The verifier no longer screens
+//! (it gates BMC on the typestate verdict and checks the full AI), so
+//! this suite and the benchmark mirror are the tiers' only callers.
 //!
 //! For every corpus file both pipelines run end to end:
 //!
 //! * **raw** — encode the full `AI(F(p))` and enumerate counterexamples
-//!   for every assertion, exactly as `--no-screen` does.
+//!   for every assertion, as the verifier does for a file with a
+//!   typestate error.
 //! * **screened** — static discharge, cone-of-influence slice, then
 //!   BMC over the slice only (skipped entirely when every assertion
 //!   discharges), with traces re-replayed on the full program. The
 //!   typestate result all tiers consume is computed outside the timed
-//!   region: the verifier needs it for the report whether or not
-//!   screening is on, so it is not part of screening's marginal cost.
+//!   region: the verifier needs it for the report either way, so it is
+//!   not part of screening's marginal cost.
 //! * **flow** — the two-stage tier: static discharge with flow-clean
 //!   re-attribution, then BMC over the *refined* slice (dead
 //!   definitions dropped, constants folded). Its encoding must be

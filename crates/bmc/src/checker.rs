@@ -114,11 +114,13 @@ pub struct XbmcStats {
     /// Clauses removed by formula preprocessing (tautologies and
     /// root-satisfied clauses).
     pub pre_clauses_removed: u64,
-    /// Assertions discharged statically before encoding (filled by the
-    /// screening tier in `webssari-core`; always 0 for a bare check).
+    /// Assertions discharged statically before encoding. Only callers
+    /// that run the screening tier themselves fill it; the verifier no
+    /// longer screens and leaves it 0.
     pub assertions_discharged: u64,
     /// CNF variables the cone-of-influence slice removed relative to
-    /// encoding the full program (filled by the screening tier).
+    /// encoding the full program (filled only by callers that screen;
+    /// 0 from the verifier).
     pub cnf_vars_saved: u64,
     /// Generalized blocking cubes learned by ALLSAT enumeration (one
     /// per satisfiable solver answer on the renaming path).
@@ -135,17 +137,18 @@ pub struct XbmcStats {
     /// cell — second-order (stored) taint (filled by `webssari-core`).
     pub second_order_flows_found: u64,
     /// Assertions discharged by the flow-sensitive SSA tier with a
-    /// `flow-clean` proof (filled by the two-stage screening tier in
-    /// `webssari-core`; always 0 for a bare check).
+    /// `flow-clean` proof. This and the next three fields are filled
+    /// only by callers that run the two-stage screening tier and
+    /// `webssari_dataflow::compute_summaries` themselves; the verifier
+    /// no longer does and leaves them 0.
     pub flow_discharged: u64,
     /// φ-functions placed while building the pruned SSA form of the
-    /// checked program (filled by `webssari-core`).
+    /// checked program.
     pub ssa_phis: u64,
     /// Interprocedural function summaries computed bottom-up over the
-    /// call graph (filled by `webssari-core`).
+    /// call graph.
     pub summaries_computed: u64,
-    /// Call-site clones materialized for taint-polymorphic callees
-    /// (filled by `webssari-core`).
+    /// Call-site clones materialized for taint-polymorphic callees.
     pub contexts_cloned: u64,
 }
 

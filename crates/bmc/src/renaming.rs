@@ -65,7 +65,8 @@ pub fn encode(ai: &AiProgram, lattice: &impl Lattice) -> RenamedEncoding {
 /// by driving the same encoder walk through a counting builder that
 /// discards clauses. Exact by construction (gate shortcuts depend only
 /// on literal identity, never on emitted clauses) at a fraction of the
-/// cost — the screening tier uses this to report `cnf_vars_saved`
+/// cost. Not on the verify path: the verifier does not screen. The
+/// benchmark mirror calls it to fill `XbmcStats::cnf_vars_saved`
 /// without re-encoding the full program.
 pub fn count_vars(ai: &AiProgram, lattice: &impl Lattice) -> usize {
     encode_with(FormulaBuilder::new_counting(), ai, lattice)

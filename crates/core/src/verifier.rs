@@ -101,7 +101,6 @@ pub struct VerifierBuilder {
     loop_unroll: usize,
     policy: Policy,
     solve_budget: SolveBudget,
-    no_screen: bool,
     prefer_parameterize: bool,
 }
 
@@ -187,18 +186,6 @@ impl VerifierBuilder {
         self
     }
 
-    /// Enables or disables the static screening tier (enabled by
-    /// default). When on, assertions the typestate pass proves clean
-    /// are discharged before SAT encoding and the survivors are sliced
-    /// to their cones of influence — verdicts, counterexamples, and fix
-    /// plans are provably unchanged, only the CNF shrinks. Screening is
-    /// also skipped automatically when [`VerifierBuilder::certify`] is
-    /// set, since certificates need the full encoding.
-    pub fn screen(mut self, enabled: bool) -> Self {
-        self.no_screen = !enabled;
-        self
-    }
-
     /// Prefers the "parameterize this query" patch shape in reports:
     /// when every symptom a fix variable repairs is a SQL-structured
     /// sink precondition, the vulnerability is reported as a query to
@@ -231,7 +218,6 @@ impl VerifierBuilder {
             loop_unroll: self.loop_unroll.max(1),
             policy: self.policy,
             solve_budget: self.solve_budget,
-            no_screen: self.no_screen,
             prefer_parameterize: self.prefer_parameterize,
             store_cell: None,
         }
@@ -301,7 +287,6 @@ pub struct Verifier {
     loop_unroll: usize,
     policy: Policy,
     solve_budget: SolveBudget,
-    no_screen: bool,
     prefer_parameterize: bool,
     /// The installed batch cell for the cross-request store summary
     /// (pass 1 of project verification), built by the first file whose
@@ -481,10 +466,7 @@ impl Verifier {
     /// The incremental cache hashes this string into its fingerprint so
     /// results self-invalidate when any knob changes. The solve budget
     /// is deliberately excluded: it only decides whether a check
-    /// *finishes*, and timed-out results are never cached. The
-    /// screening toggle is excluded for the same reason: screening is
-    /// verdict-preserving by construction (see `webssari-analysis`), so
-    /// both settings produce the same report.
+    /// *finishes*, and timed-out results are never cached.
     pub fn config_description(&self) -> String {
         use std::fmt::Write as _;
 
@@ -627,59 +609,18 @@ impl Verifier {
             // The wall-clock allowance starts now, per file.
             check_options.budget = Some(budget);
         }
-        // Tiers 1+2: static screening. Assertions the TS pass proves
-        // clean are discharged before encoding (the flow-sensitive SSA
-        // tier upgrades their proofs to `flow-clean` where it can
-        // independently confirm them); the survivors are sliced to
-        // their cones of influence and refined — flow-dead definitions
-        // dropped, all-paths constants folded. Certification needs the
-        // full encoding (certificates refer to the whole formula), so
-        // it bypasses screening.
-        let screening = !self.no_screen && !check_options.certify;
-        let mut bmc = if screening {
-            let flow = webssari_analysis::screen_two_stage(&ai, &ts, lattice);
-            let screened = &flow.screen;
-            let discharged = screened.discharged.len();
-            let mut result = if screened.all_discharged() {
-                // Every assertion was proven statically: no SAT work.
-                xbmc::CheckResult::default()
-            } else {
-                Xbmc::with_options(&flow.refined, check_options.clone()).check_all_with(lattice)
-            };
-            result.checked_assertions += discharged;
-            result.stats.assertions_discharged = discharged as u64;
-            result.stats.flow_discharged = flow.flow_discharged;
-            result.stats.ssa_phis = flow.ssa_phis;
-            // Interprocedural context: bottom-up summaries over the
-            // source call graph, cloned one level at taint-polymorphic
-            // call sites. Shares the recursion cutoff with the filter's
-            // inliner so both layers widen at the same depth.
-            let sums = webssari_dataflow::compute_summaries(
-                program,
-                &self.prelude,
-                lattice,
-                self.filter_options.max_inline_depth,
-            );
-            result.stats.summaries_computed = sums.summaries_computed;
-            result.stats.contexts_cloned = sums.contexts_cloned;
-            if discharged > 0 && check_options.encoder == xbmc::EncoderKind::Renaming {
-                // How much CNF the slice saved, measured against
-                // encoding the full program with the same encoder. The
-                // counting walk allocates variables exactly like a real
-                // encode but never materializes a clause, so this no
-                // longer re-encodes the whole program per screened file.
-                let full_vars = xbmc::renaming::count_vars(&ai, lattice);
-                result.stats.cnf_vars_saved =
-                    full_vars.saturating_sub(result.stats.cnf_vars) as u64;
+        // The TS gate. Typestate over-approximates every path of the
+        // loop-free AI (see `webssari_analysis::screen`): an assertion
+        // it finds clean holds on every path, so a file with no TS
+        // error has nothing for BMC to find and never enters the
+        // solver. Any TS error sends the whole AI to BMC, which is
+        // exact. Certificates need the encoding, so certifying always
+        // runs BMC.
+        let mut bmc = if ts.errors.is_empty() && !check_options.certify {
+            xbmc::CheckResult {
+                checked_assertions: ai.num_assertions(),
+                ..Default::default()
             }
-            // Counterexample traces replay every executed assignment,
-            // including ones outside the cone, so re-replay them on the
-            // full program to keep reports bit-identical to an
-            // unscreened run.
-            for cx in &mut result.counterexamples {
-                cx.trace = xbmc::replay_trace(&ai, &cx.branches, cx.assert_id);
-            }
-            result
         } else {
             Xbmc::with_options(&ai, check_options).check_all_with(lattice)
         };
@@ -953,9 +894,9 @@ echo htmlspecialchars($_GET['msg']);
         assert!(report.is_safe());
         // Both the SQL query and the sanitized echo are asserted (the
         // sanitizer's result is materialized as a temp), and both are
-        // clean enough for the screening tier to discharge statically.
+        // TS-clean, so the file never enters the solver.
         assert_eq!(report.bmc.checked_assertions, 2);
-        assert_eq!(report.bmc.stats.assertions_discharged, 2);
+        assert!(report.ts.errors.is_empty());
         assert_eq!(report.bmc.stats.sat_calls, 0);
     }
 
@@ -1024,9 +965,10 @@ echo htmlspecialchars($_GET['msg']);
 
     #[test]
     fn zero_wall_budget_times_out() {
-        let report = VerifierBuilder::new()
+        let verifier = VerifierBuilder::new()
             .solve_budget(SolveBudget::unlimited().wall_time(std::time::Duration::ZERO))
-            .build()
+            .build();
+        let report = verifier
             .verify_source("<?php $x = $_GET['a']; echo $x;", "f.php")
             .unwrap();
         assert_eq!(report.outcome, FileOutcome::Timeout);
@@ -1034,6 +976,12 @@ echo htmlspecialchars($_GET['msg']);
         assert!(!report.is_safe());
         assert!(report.bmc.interrupted);
         assert!(report.render_text().contains("TIMEOUT"));
+        // A TS-clean file makes no SAT call for the budget to interrupt.
+        let clean = verifier
+            .verify_source("<?php echo htmlspecialchars($_GET['m']);", "f.php")
+            .unwrap();
+        assert_eq!(clean.outcome, FileOutcome::Verified);
+        assert!(!clean.bmc.interrupted);
     }
 
     #[test]
@@ -1099,102 +1047,85 @@ echo htmlspecialchars($_GET['msg']);
     }
 
     #[test]
-    fn screening_preserves_reports_exactly() {
-        // Tier-1 discharge and cone slicing must be invisible in the
-        // report: same outcome, same counterexamples (incl. traces),
-        // same fix plan, same rendered text.
+    fn ts_gate_preserves_bmc_results_exactly() {
+        // Skipping BMC on TS-clean files must be invisible: the gated
+        // result equals a full BMC run over the same AI — same
+        // counterexamples (incl. traces) and checked assertions.
         let srcs = [
             "<?php echo 'hi';",
+            "<?php echo htmlspecialchars($_GET['m']);",
             "<?php $x = $_GET['a']; echo $x;",
             "<?php $x = 'ok'; if ($a) { $x = $_GET['p']; } if ($b) { $j = $_GET['z']; } \
              echo $x; $c = 'safe'; echo $c;",
             "<?php $sid = $_GET['sid']; $q = \"x=$sid\"; mysql_query($q); DoSQL($q);",
         ];
         for src in srcs {
-            let screened = Verifier::new().verify_source(src, "f.php").unwrap();
-            let plain = VerifierBuilder::new()
-                .screen(false)
-                .build()
-                .verify_source(src, "f.php")
-                .unwrap();
-            assert_eq!(screened.outcome, plain.outcome, "{src}");
+            let gated = Verifier::new().verify_source(src, "f.php").unwrap();
+            let full = Xbmc::new(&gated.ai).check_all_with(&TwoPoint::new());
+            assert_eq!(gated.bmc.counterexamples, full.counterexamples, "{src}");
             assert_eq!(
-                screened.bmc.counterexamples, plain.bmc.counterexamples,
+                gated.bmc.checked_assertions, full.checked_assertions,
                 "{src}"
             );
-            assert_eq!(
-                screened.bmc.checked_assertions,
-                plain.bmc.checked_assertions
-            );
-            assert_eq!(screened.fix_plan, plain.fix_plan, "{src}");
-            assert_eq!(screened.render_text(), plain.render_text(), "{src}");
-            assert_eq!(plain.bmc.stats.assertions_discharged, 0);
+            assert_eq!(gated.bmc.is_safe(), full.is_safe(), "{src}");
         }
     }
 
     #[test]
-    fn screening_counters_report_savings() {
-        // One clean assertion discharged, one tainted survivor: the
-        // sliced CNF must be strictly smaller than the full one.
+    fn ts_error_sends_the_whole_program_to_bmc() {
+        // One TS error is enough: every assertion of the file, clean or
+        // not, is encoded and checked.
         let src = "<?php $x = $_GET['a']; echo $x; $y = 'ok'; mysql_query($y); \
                    if ($c) { $j = $_GET['z']; } echo 'lit';";
         let report = Verifier::new().verify_source(src, "f.php").unwrap();
-        assert!(report.bmc.stats.assertions_discharged >= 1);
-        assert!(report.bmc.stats.cnf_vars_saved > 0);
-        let plain = VerifierBuilder::new()
-            .screen(false)
-            .build()
-            .verify_source(src, "f.php")
-            .unwrap();
-        assert!(report.bmc.stats.cnf_vars < plain.bmc.stats.cnf_vars);
-        assert_eq!(plain.bmc.stats.cnf_vars_saved, 0);
+        assert_eq!(report.outcome, FileOutcome::Vulnerable);
+        assert_eq!(report.ts.errors.len(), 1);
+        assert_eq!(report.bmc.checked_assertions, report.ai.num_assertions());
+        assert!(report.bmc.checked_assertions >= 2);
+        assert!(report.bmc.stats.sat_calls > 0);
+        assert!(report.bmc.stats.cnf_vars > 0);
     }
 
     #[test]
-    fn flow_tier_counters_reach_the_report() {
-        // A killed taint (`$x` reassigned before the sink) is exactly
-        // what the flow tier proves: its discharge carries the
-        // flow-clean tag and the dead first definition refines away.
-        // The helper call exercises the interprocedural summaries.
+    fn killed_taint_is_not_reported() {
+        // A killed taint (`$x` reassigned before the sink) and a helper
+        // call beside one live flow: BMC reports only the live one.
         let src = "<?php function wrap($v) { return $v; } \
                    if ($c) { $x = $_GET['a']; } $x = 'ok'; echo wrap($x); \
                    if ($d) { $m = 'a'; } else { $m = 'b'; } echo $m; \
                    $y = $_GET['b']; echo $y;";
         let report = Verifier::new().verify_source(src, "f.php").unwrap();
-        assert!(report.bmc.stats.flow_discharged >= 1);
-        assert!(report.bmc.stats.ssa_phis >= 1);
-        assert!(report.bmc.stats.summaries_computed >= 1);
-        let plain = VerifierBuilder::new()
-            .screen(false)
-            .build()
-            .verify_source(src, "f.php")
-            .unwrap();
-        assert_eq!(plain.bmc.stats.flow_discharged, 0);
-        assert_eq!(plain.bmc.stats.ssa_phis, 0);
-        assert_eq!(plain.bmc.stats.summaries_computed, 0);
-        assert_eq!(
-            report.bmc.counterexamples.len(),
-            plain.bmc.counterexamples.len()
-        );
-        assert_eq!(report.render_text(), plain.render_text());
+        assert_eq!(report.outcome, FileOutcome::Vulnerable);
+        // One violated assertion, with a counterexample per path.
+        let violated: std::collections::BTreeSet<_> = report
+            .bmc
+            .counterexamples
+            .iter()
+            .map(|cx| cx.assert_id)
+            .collect();
+        assert_eq!(violated.len(), 1);
+        assert_eq!(report.vulnerabilities.len(), 1);
+        assert_eq!(report.vulnerabilities[0].root_var, "y");
+        assert_eq!(report.bmc.checked_assertions, report.ai.num_assertions());
     }
 
     #[test]
-    fn certification_bypasses_screening() {
-        // DRAT certificates refer to the full program formula, so the
-        // screening tier must stand aside when certifying.
+    fn certification_bypasses_the_ts_gate() {
+        // DRAT certificates refer to the program formula, so a TS-clean
+        // file still goes through BMC when certifying.
         let report = VerifierBuilder::new()
             .certify(true)
             .build()
             .verify_source("<?php echo 'safe'; $q = 'x'; mysql_query($q);", "f.php")
             .unwrap();
         assert!(report.is_safe());
-        assert_eq!(report.bmc.stats.assertions_discharged, 0);
+        assert!(report.ts.errors.is_empty());
+        assert!(report.bmc.stats.sat_calls > 0);
         assert!(!report.bmc.certificates.is_empty());
     }
 
     #[test]
-    fn all_discharged_skips_sat_entirely() {
+    fn ts_clean_file_skips_sat_entirely() {
         let report = Verifier::new()
             .verify_source(
                 "<?php $x = 'a'; echo $x; $y = $x; mysql_query($y);",
@@ -1203,10 +1134,8 @@ echo htmlspecialchars($_GET['msg']);
             .unwrap();
         assert_eq!(report.outcome, FileOutcome::Verified);
         assert_eq!(report.bmc.checked_assertions, 2);
-        assert_eq!(report.bmc.stats.assertions_discharged, 2);
         assert_eq!(report.bmc.stats.sat_calls, 0);
         assert_eq!(report.bmc.stats.cnf_vars, 0);
-        assert!(report.bmc.stats.cnf_vars_saved > 0);
     }
 
     #[test]

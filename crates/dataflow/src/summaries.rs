@@ -707,6 +707,10 @@ fn sccs(names: &[String], edges: &HashMap<String, Vec<String>>) -> Vec<Vec<Strin
 /// `program`. `max_depth` bounds the per-SCC fixpoint iteration count
 /// for recursive functions; at the cutoff the whole SCC widens soundly
 /// to ⊤ (matching the filter's recursion cutoff approximation).
+///
+/// Not on the verify path: the verifier does not call it. The
+/// benchmark mirror does, to fill `XbmcStats::summaries_computed` and
+/// `contexts_cloned`.
 pub fn compute_summaries(
     program: &Program,
     prelude: &Prelude,

@@ -491,8 +491,6 @@ impl Engine {
                         sat_calls: 0,
                         pre_units_fixed: 0,
                         pre_clauses_removed: 0,
-                        assertions_discharged: 0,
-                        cnf_vars_saved: 0,
                         cubes_learned: 0,
                         cube_assignments: 0,
                     });
@@ -526,8 +524,6 @@ impl Engine {
                                 sat_calls: stats.sat_calls,
                                 pre_units_fixed: stats.pre_units_fixed,
                                 pre_clauses_removed: stats.pre_clauses_removed,
-                                assertions_discharged: stats.assertions_discharged,
-                                cnf_vars_saved: stats.cnf_vars_saved,
                                 cubes_learned: stats.cubes_learned,
                                 cube_assignments: stats.cube_assignments,
                             });
@@ -552,8 +548,6 @@ impl Engine {
                                 sat_calls: 0,
                                 pre_units_fixed: 0,
                                 pre_clauses_removed: 0,
-                                assertions_discharged: 0,
-                                cnf_vars_saved: 0,
                                 cubes_learned: 0,
                                 cube_assignments: 0,
                             });

@@ -37,10 +37,6 @@ pub struct FileMetrics {
     pub pre_units_fixed: u64,
     /// Clauses removed by formula preprocessing before attachment.
     pub pre_clauses_removed: u64,
-    /// Assertions discharged statically by the screening tier.
-    pub assertions_discharged: u64,
-    /// CNF variables the cone-of-influence slice removed.
-    pub cnf_vars_saved: u64,
     /// Generalized blocking cubes the ALLSAT enumerator learned.
     pub cubes_learned: u64,
     /// Counterexamples materialized by expanding those cubes.
@@ -98,16 +94,6 @@ impl EngineMetrics {
         self.files.iter().map(|f| f.pre_clauses_removed).sum()
     }
 
-    /// Total assertions discharged statically across all files.
-    pub fn total_assertions_discharged(&self) -> u64 {
-        self.files.iter().map(|f| f.assertions_discharged).sum()
-    }
-
-    /// Total CNF variables saved by slicing across all files.
-    pub fn total_cnf_vars_saved(&self) -> u64 {
-        self.files.iter().map(|f| f.cnf_vars_saved).sum()
-    }
-
     /// Total generalized cubes learned across all files.
     pub fn total_cubes_learned(&self) -> u64 {
         self.files.iter().map(|f| f.cubes_learned).sum()
@@ -151,12 +137,6 @@ impl EngineMetrics {
             self.total_propagations(),
             self.total_pre_units_fixed(),
             self.total_pre_clauses_removed(),
-        );
-        let _ = writeln!(
-            out,
-            "screening: {} assertion(s) discharged statically, {} CNF var(s) saved",
-            self.total_assertions_discharged(),
-            self.total_cnf_vars_saved(),
         );
         let _ = writeln!(
             out,
@@ -207,8 +187,6 @@ impl EngineMetrics {
                     ("sat_calls", Value::Num(f.sat_calls as u64)),
                     ("pre_units_fixed", Value::Num(f.pre_units_fixed)),
                     ("pre_clauses_removed", Value::Num(f.pre_clauses_removed)),
-                    ("assertions_discharged", Value::Num(f.assertions_discharged)),
-                    ("cnf_vars_saved", Value::Num(f.cnf_vars_saved)),
                     ("cubes_learned", Value::Num(f.cubes_learned)),
                     ("cube_assignments", Value::Num(f.cube_assignments)),
                 ])
@@ -221,14 +199,6 @@ impl EngineMetrics {
             ("cache_misses", Value::Num(self.cache_misses as u64)),
             ("total_conflicts", Value::Num(self.total_conflicts())),
             ("total_sat_calls", Value::Num(self.total_sat_calls() as u64)),
-            (
-                "total_assertions_discharged",
-                Value::Num(self.total_assertions_discharged()),
-            ),
-            (
-                "total_cnf_vars_saved",
-                Value::Num(self.total_cnf_vars_saved()),
-            ),
             (
                 "total_cubes_learned",
                 Value::Num(self.total_cubes_learned()),
@@ -285,8 +255,6 @@ mod tests {
                     sat_calls: 0,
                     pre_units_fixed: 0,
                     pre_clauses_removed: 0,
-                    assertions_discharged: 0,
-                    cnf_vars_saved: 0,
                     cubes_learned: 0,
                     cube_assignments: 0,
                 },
@@ -304,8 +272,6 @@ mod tests {
                     sat_calls: 5,
                     pre_units_fixed: 9,
                     pre_clauses_removed: 3,
-                    assertions_discharged: 2,
-                    cnf_vars_saved: 11,
                     cubes_learned: 4,
                     cube_assignments: 13,
                 },
@@ -320,8 +286,6 @@ mod tests {
         assert_eq!(m.total_sat_calls(), 5);
         assert_eq!(m.total_pre_units_fixed(), 9);
         assert_eq!(m.total_pre_clauses_removed(), 3);
-        assert_eq!(m.total_assertions_discharged(), 2);
-        assert_eq!(m.total_cnf_vars_saved(), 11);
         assert_eq!(m.total_cubes_learned(), 4);
         assert_eq!(m.total_cube_assignments(), 13);
         assert_eq!(m.count(FileOutcome::Verified), 1);
@@ -335,7 +299,6 @@ mod tests {
         assert!(text.contains("1 hit(s), 1 miss(es)"));
         assert!(text.contains("a.php"));
         assert!(text.contains("vulnerable"));
-        assert!(text.contains("2 assertion(s) discharged statically, 11 CNF var(s) saved"));
         assert!(text.contains("4 cube(s) learned covering 13 assignment(s)"));
     }
 
@@ -352,16 +315,6 @@ mod tests {
         assert_eq!(
             files[1].get("pre_units_fixed").and_then(Value::as_u64),
             Some(9)
-        );
-        assert_eq!(
-            files[1]
-                .get("assertions_discharged")
-                .and_then(Value::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            v.get("total_cnf_vars_saved").and_then(Value::as_u64),
-            Some(11)
         );
         assert_eq!(
             v.get("total_cube_assignments").and_then(Value::as_u64),

@@ -47,16 +47,10 @@ struct Counters {
     sat_calls: AtomicU64,
     pre_units_fixed: AtomicU64,
     pre_clauses_removed: AtomicU64,
-    assertions_discharged: AtomicU64,
-    cnf_vars_saved: AtomicU64,
     cubes_learned: AtomicU64,
     cube_assignments: AtomicU64,
     sql_assertions_checked: AtomicU64,
     second_order_flows_found: AtomicU64,
-    flow_discharged: AtomicU64,
-    ssa_phis: AtomicU64,
-    summaries_computed: AtomicU64,
-    contexts_cloned: AtomicU64,
 }
 
 /// One point-in-time read of [`EngineStats`]. Individual fields are
@@ -114,10 +108,6 @@ pub struct EngineSnapshot {
     pub pre_units_fixed: u64,
     /// Clauses removed by formula preprocessing before attachment.
     pub pre_clauses_removed: u64,
-    /// Assertions discharged statically by the screening tier.
-    pub assertions_discharged: u64,
-    /// CNF variables the cone-of-influence slice removed.
-    pub cnf_vars_saved: u64,
     /// Generalized blocking cubes learned by ALLSAT enumeration.
     pub cubes_learned: u64,
     /// Counterexamples materialized by expanding those cubes.
@@ -128,15 +118,6 @@ pub struct EngineSnapshot {
     /// Violated assertions whose counterexample trace reads a
     /// cross-request store cell (second-order flows).
     pub second_order_flows_found: u64,
-    /// Assertions discharged by the flow-sensitive SSA tier with a
-    /// `flow-clean` proof.
-    pub flow_discharged: u64,
-    /// φ-functions placed building pruned SSA across verified files.
-    pub ssa_phis: u64,
-    /// Interprocedural function summaries computed bottom-up.
-    pub summaries_computed: u64,
-    /// Call-site clones materialized for taint-polymorphic callees.
-    pub contexts_cloned: u64,
 }
 
 impl EngineSnapshot {
@@ -194,16 +175,10 @@ impl EngineStats {
             sat_calls: load(&c.sat_calls),
             pre_units_fixed: load(&c.pre_units_fixed),
             pre_clauses_removed: load(&c.pre_clauses_removed),
-            assertions_discharged: load(&c.assertions_discharged),
-            cnf_vars_saved: load(&c.cnf_vars_saved),
             cubes_learned: load(&c.cubes_learned),
             cube_assignments: load(&c.cube_assignments),
             sql_assertions_checked: load(&c.sql_assertions_checked),
             second_order_flows_found: load(&c.second_order_flows_found),
-            flow_discharged: load(&c.flow_discharged),
-            ssa_phis: load(&c.ssa_phis),
-            summaries_computed: load(&c.summaries_computed),
-            contexts_cloned: load(&c.contexts_cloned),
         }
     }
 
@@ -281,12 +256,6 @@ impl EngineStats {
                 .pre_clauses_removed
                 .fetch_add(s.pre_clauses_removed, Ordering::Relaxed);
             self.inner
-                .assertions_discharged
-                .fetch_add(s.assertions_discharged, Ordering::Relaxed);
-            self.inner
-                .cnf_vars_saved
-                .fetch_add(s.cnf_vars_saved, Ordering::Relaxed);
-            self.inner
                 .cubes_learned
                 .fetch_add(s.cubes_learned, Ordering::Relaxed);
             self.inner
@@ -298,16 +267,6 @@ impl EngineStats {
             self.inner
                 .second_order_flows_found
                 .fetch_add(s.second_order_flows_found, Ordering::Relaxed);
-            self.inner
-                .flow_discharged
-                .fetch_add(s.flow_discharged, Ordering::Relaxed);
-            self.inner.ssa_phis.fetch_add(s.ssa_phis, Ordering::Relaxed);
-            self.inner
-                .summaries_computed
-                .fetch_add(s.summaries_computed, Ordering::Relaxed);
-            self.inner
-                .contexts_cloned
-                .fetch_add(s.contexts_cloned, Ordering::Relaxed);
         }
     }
 

@@ -1,7 +1,6 @@
 //! # jsonio — a minimal shared JSON value model with writer and parser.
 //!
-//! The workspace's `serde` dependency is an offline stand-in whose
-//! derive is a no-op (see `vendor/README.md`), so the engine's cache
+//! The workspace has no serialization framework: the engine's cache
 //! file, the metrics export, and the `webssari-serve` HTTP API all
 //! serialize by hand through this crate. Only the subset the workspace
 //! emits is supported: objects, arrays, strings, booleans, `null`, and

@@ -447,23 +447,6 @@ impl ServerMetrics {
 
         metric(
             &mut out,
-            "webssari_engine_screening_total",
-            "counter",
-            "Static screening activity: assertions discharged before SAT \
-             and CNF variables saved by cone slicing.",
-        );
-        for (kind, count) in [
-            ("assertions_discharged", engine.assertions_discharged),
-            ("cnf_vars_saved", engine.cnf_vars_saved),
-        ] {
-            let _ = writeln!(
-                out,
-                "webssari_engine_screening_total{{kind=\"{kind}\"}} {count}",
-            );
-        }
-
-        metric(
-            &mut out,
             "webssari_engine_enumeration_total",
             "counter",
             "ALLSAT cube generalization: blocking cubes learned and \
@@ -561,22 +544,6 @@ impl ServerMetrics {
             "webssari_engine_second_order_flows_total {}",
             engine.second_order_flows_found,
         );
-        metric(
-            &mut out,
-            "webssari_engine_flow_total",
-            "counter",
-            "Flow-sensitive SSA tier activity: flow-clean discharges, \
-             phi functions placed, interprocedural summaries computed, \
-             and polymorphic call-site clones.",
-        );
-        for (kind, count) in [
-            ("flow_discharged", engine.flow_discharged),
-            ("ssa_phis", engine.ssa_phis),
-            ("summaries_computed", engine.summaries_computed),
-            ("contexts_cloned", engine.contexts_cloned),
-        ] {
-            let _ = writeln!(out, "webssari_engine_flow_total{{kind=\"{kind}\"}} {count}",);
-        }
         out
     }
 }
@@ -673,16 +640,10 @@ mod tests {
             sat_calls: 7,
             pre_units_fixed: 11,
             pre_clauses_removed: 2,
-            assertions_discharged: 5,
-            cnf_vars_saved: 42,
             cubes_learned: 6,
             cube_assignments: 19,
             sql_assertions_checked: 4,
             second_order_flows_found: 2,
-            flow_discharged: 9,
-            ssa_phis: 13,
-            summaries_computed: 3,
-            contexts_cloned: 8,
             ..EngineSnapshot::default()
         };
         let text = m.render_prometheus(&snap, 0, 4, &[]);
@@ -695,16 +656,13 @@ mod tests {
         assert!(
             text.contains("webssari_engine_solver_events_total{kind=\"pre_clauses_removed\"} 2")
         );
-        assert!(text.contains("webssari_engine_screening_total{kind=\"assertions_discharged\"} 5"));
-        assert!(text.contains("webssari_engine_screening_total{kind=\"cnf_vars_saved\"} 42"));
         assert!(text.contains("webssari_engine_enumeration_total{kind=\"cubes_learned\"} 6"));
         assert!(text.contains("webssari_engine_enumeration_total{kind=\"cube_assignments\"} 19"));
         assert!(text.contains("webssari_engine_sql_assertions_total 4"));
         assert!(text.contains("webssari_engine_second_order_flows_total 2"));
-        assert!(text.contains("webssari_engine_flow_total{kind=\"flow_discharged\"} 9"));
-        assert!(text.contains("webssari_engine_flow_total{kind=\"ssa_phis\"} 13"));
-        assert!(text.contains("webssari_engine_flow_total{kind=\"summaries_computed\"} 3"));
-        assert!(text.contains("webssari_engine_flow_total{kind=\"contexts_cloned\"} 8"));
+        // Screening left the verify path, and its families with it.
+        assert!(!text.contains("webssari_engine_screening_total"));
+        assert!(!text.contains("webssari_engine_flow_total"));
         // Every exposed line is HELP, TYPE, or a sample.
         for line in text.lines() {
             assert!(

@@ -261,6 +261,19 @@ fn exhausted_budget_returns_well_formed_timeout_json() {
         json_of(&retry).get("outcome").and_then(Value::as_str),
         Some("vulnerable"),
     );
+    // A TS-clean file never enters the solver, so a zero budget cannot
+    // interrupt it: it verifies (and is uncached, so this is a fresh
+    // check under the zero budget, not a cache hit).
+    let clean = post(
+        addr,
+        "/verify?file=clean.php",
+        "X-Webssari-Budget-Ms: 0\r\n",
+        "<?php\necho htmlspecialchars($_GET['m']);\n",
+    );
+    assert_eq!(status_of(&clean), 200);
+    let v = json_of(&clean);
+    assert_eq!(v.get("outcome").and_then(Value::as_str), Some("verified"));
+    assert_eq!(v.get("from_cache"), Some(&Value::Bool(false)));
     server.shutdown().expect("graceful shutdown");
 }
 

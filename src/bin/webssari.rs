@@ -89,10 +89,6 @@ OPTIONS:
                      Lead SQL-structured vulnerability reports with the
                      \"parameterize the query\" patch shape instead of
                      \"sanitize the variable\".
-    --no-screen      Disable the static screening tier (tier-1 discharge
-                     and cone-of-influence slicing before SAT). Results
-                     are identical either way; this is the escape hatch
-                     for timing the raw BMC.
     --sarif FILE     (lint) Also write a SARIF 2.1.0 report.
     --prelude FILE   Load extra UIC/SOC/sanitizer contracts (one per
                      line: `uic f`, `soc f class [args=0,1]`,
@@ -110,6 +106,8 @@ BATCH ENGINE (verify):
                          unchanged configuration are not re-verified.
     --solve-budget-ms MS Per-file SAT budget; files that exceed it are
                          reported as TIMEOUT instead of stalling the run.
+                         Files the typestate pass finds clean never
+                         reach the solver, so they verify even at 0.
     --metrics-json FILE  Write per-file timing/cache/solver metrics.
 
 DAEMON (serve):
@@ -154,7 +152,6 @@ struct CommonOptions {
     cache_dir: Option<PathBuf>,
     solve_budget_ms: Option<u64>,
     metrics_json: Option<PathBuf>,
-    no_screen: bool,
     prefer_parameterize: bool,
     sarif: Option<PathBuf>,
 }
@@ -177,7 +174,6 @@ fn parse_options(args: &[String]) -> Result<CommonOptions, String> {
         cache_dir: None,
         solve_budget_ms: None,
         metrics_json: None,
-        no_screen: false,
         prefer_parameterize: false,
         sarif: None,
     };
@@ -242,7 +238,6 @@ fn parse_options(args: &[String]) -> Result<CommonOptions, String> {
                     it.next().ok_or("--metrics-json needs a file argument")?,
                 ));
             }
-            "--no-screen" => opts.no_screen = true,
             "--prefer-parameterize" => opts.prefer_parameterize = true,
             "--sarif" => {
                 opts.sarif = Some(PathBuf::from(
@@ -296,7 +291,6 @@ fn build_verifier(opts: &CommonOptions) -> Result<Verifier, String> {
         .certify(opts.certify)
         .minimize_guard_lines(opts.min_guards)
         .prefer_parameterize(opts.prefer_parameterize)
-        .screen(!opts.no_screen)
         .build())
 }
 

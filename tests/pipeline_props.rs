@@ -1,12 +1,19 @@
 //! Cross-crate property tests: the whole pipeline on randomly
 //! generated PHP programs — robustness (no panics), agreement between
-//! TS and BMC verdicts, effectiveness of computed patches, and
-//! printer/parser round-trips.
+//! TS and BMC verdicts, effectiveness of computed patches,
+//! printer/parser round-trips, and the TS gate against the two-stage
+//! screened pipeline.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
+use webssari::bmc::{CheckOptions, CheckResult, Xbmc};
+use webssari::fixes::FixPlan;
+use webssari::ir::{is_store_cell, AiCmd, AiProgram, Prelude};
+use webssari::lattice::{Lattice, TwoPoint};
 use webssari::php::ast::{AssignOp, BinOp, Expr, LValue, Program, Stmt};
 use webssari::php::{parse_source, print_program, Span};
-use webssari::{instrument_bmc, Verifier};
+use webssari::{instrument_bmc, Verifier, VerifierBuilder};
 
 /// Random small expressions over a fixed variable pool, weighted toward
 /// the idioms web code uses.
@@ -212,5 +219,86 @@ proptest! {
             let _ = report.render_text();
             let _ = instrument_bmc(&src, &report);
         }
+    }
+}
+
+/// The two-stage screened check on a report's AI, as the verifier ran
+/// it before the TS gate: typestate, static discharge and flow
+/// re-attribution, BMC over the refined slice, the discharged count
+/// merged back, traces re-replayed on the full program. Returns the
+/// result with the fix plan the verifier derives from it.
+fn screened_pipeline(
+    ai: &AiProgram,
+    prelude: &Prelude,
+    lattice: &impl Lattice,
+) -> (CheckResult, FixPlan) {
+    let ts = webssari::ts::analyze(ai, lattice);
+    let flow = webssari::analysis::screen_two_stage(ai, &ts, lattice);
+    let mut bmc = if flow.screen.all_discharged() {
+        CheckResult::default()
+    } else {
+        Xbmc::with_options(&flow.refined, CheckOptions::default()).check_all_with(lattice)
+    };
+    bmc.checked_assertions += flow.screen.discharged.len();
+    for cx in &mut bmc.counterexamples {
+        cx.trace = webssari::bmc::replay_trace(ai, &cx.branches, cx.assert_id);
+    }
+    let channels = ai
+        .vars
+        .iter()
+        .filter(|v| {
+            let name = ai.vars.name(*v);
+            prelude.is_superglobal(name) || is_store_cell(name)
+        })
+        .collect();
+    let mut plan = webssari::fixes::minimal_fixing_set_with(&bmc.counterexamples, &channels, false);
+    let sql: BTreeSet<_> = ai
+        .assertions()
+        .iter()
+        .filter_map(|(c, _)| match c {
+            AiCmd::Assert { id, kind, .. } if kind.is_sql_structure() => Some(*id),
+            _ => None,
+        })
+        .collect();
+    for root in &plan.fix_vars {
+        let asserts = &plan.groups[root];
+        if !asserts.is_empty() && asserts.iter().all(|a| sql.contains(a)) {
+            plan.parameterize.insert(*root);
+        }
+    }
+    (bmc, plan)
+}
+
+/// Checks one verifier's report against [`screened_pipeline`].
+fn gate_matches_screening(
+    verifier: &Verifier,
+    lattice: &impl Lattice,
+    src: &str,
+) -> Result<(), String> {
+    let report = verifier.verify_source(src, "p.php").unwrap();
+    let (screened, plan) = screened_pipeline(&report.ai, verifier.prelude(), lattice);
+    prop_assert_eq!(&report.bmc.counterexamples, &screened.counterexamples);
+    prop_assert_eq!(report.bmc.checked_assertions, screened.checked_assertions);
+    prop_assert_eq!(&report.fix_plan, &plan);
+    if report.ts.errors.is_empty() {
+        prop_assert_eq!(report.bmc.stats.sat_calls, 0);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The TS gate is the screening tiers' verdict without their work:
+    /// under both policies the verifier's counterexamples (traces
+    /// included), checked assertions and fix plan equal those of the
+    /// two-stage screened pipeline, and TS-clean files never reach the
+    /// solver.
+    #[test]
+    fn ts_gate_matches_the_screened_pipeline(program in program_strategy()) {
+        let src = print_program(&program);
+        gate_matches_screening(&Verifier::new(), &TwoPoint::new(), &src)?;
+        let (lattice, _) = Prelude::multiclass();
+        gate_matches_screening(&VerifierBuilder::new().multiclass().build(), &lattice, &src)?;
     }
 }
