@@ -10,8 +10,8 @@
 //! * **conflict-bound** — pigeonhole instances, random 3-SAT at the
 //!   phase-transition ratio, and a BMC-shaped unrolled-counter unsat
 //!   family; dominated by conflict analysis, learning, and
-//!   clause-database maintenance (tiered reduction, binary implication
-//!   lists, glue restarts, root inprocessing). The headline is the
+//!   clause-database maintenance (activity-based reduction, binary
+//!   implication lists, Luby restarts). The headline is the
 //!   geometric-mean speedup across the family, and a vacuity guard
 //!   fails the run if any conflict workload stops producing conflicts.
 //! * **enumeration-bound** — the xBMC counterexample loop (paper
@@ -101,13 +101,6 @@ pub struct Side {
     /// Propagations served by binary implication lists (always zero on
     /// the reference solver, which has no such lists).
     pub binary_propagations: u64,
-    /// Learned clauses that entered the core glue tier (LBD ≤ 2); zero
-    /// on the untiered reference solver.
-    pub glue_core: u64,
-    /// Learned clauses that entered the mid glue tier (LBD 3–6).
-    pub glue_mid: u64,
-    /// Learned clauses that entered the local glue tier (LBD > 6).
-    pub glue_local: u64,
 }
 
 impl Side {
@@ -119,9 +112,6 @@ impl Side {
             decisions: s.decisions,
             restarts: s.restarts,
             binary_propagations: s.binary_propagations,
-            glue_core: s.glue_core,
-            glue_mid: s.glue_mid,
-            glue_local: s.glue_local,
         }
     }
 
@@ -133,9 +123,6 @@ impl Side {
             ("decisions", Value::Num(self.decisions)),
             ("restarts", Value::Num(self.restarts)),
             ("binary_propagations", Value::Num(self.binary_propagations)),
-            ("glue_core", Value::Num(self.glue_core)),
-            ("glue_mid", Value::Num(self.glue_mid)),
-            ("glue_local", Value::Num(self.glue_local)),
         ])
     }
 }
@@ -315,7 +302,7 @@ impl SuiteResult {
             })
             .collect();
         Value::obj(vec![
-            ("schema", Value::str("bench_sat/v1")),
+            ("schema", Value::str("bench_sat/v2")),
             ("mode", Value::str(self.mode)),
             (
                 "summary",
@@ -917,9 +904,6 @@ mod tests {
             decisions: 3,
             restarts: 0,
             binary_propagations: 4,
-            glue_core: 1,
-            glue_mid: 1,
-            glue_local: 0,
         };
         let suite = SuiteResult {
             mode: "fast",
@@ -1046,9 +1030,6 @@ mod tests {
             decisions: 0,
             restarts: 0,
             binary_propagations: 0,
-            glue_core: 0,
-            glue_mid: 0,
-            glue_local: 0,
         };
         let conflictful = Side {
             conflicts: 5,

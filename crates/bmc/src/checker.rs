@@ -81,30 +81,6 @@ pub struct XbmcStats {
     pub binary_propagations: u64,
     /// Total solver restarts.
     pub restarts: u64,
-    /// Restarts triggered by the glue EMA rather than the Luby budget.
-    pub glue_restarts: u64,
-    /// Learned clauses with LBD ≤ 2 (core tier).
-    pub glue_core: u64,
-    /// Learned clauses with LBD 3–6 (mid tier).
-    pub glue_mid: u64,
-    /// Learned clauses with LBD > 6 (local tier).
-    pub glue_local: u64,
-    /// Live core-tier clauses after the last database reduction,
-    /// summed over solvers (gauge-like; see `absorb_since`).
-    pub tier_core_size: u64,
-    /// Live mid-tier clauses after the last database reduction.
-    pub tier_mid_size: u64,
-    /// Live local-tier clauses after the last database reduction.
-    pub tier_local_size: u64,
-    /// Clauses deleted by backward subsumption during root-level
-    /// inprocessing.
-    pub subsumed_clauses: u64,
-    /// Clauses strengthened by self-subsuming resolution.
-    pub strengthened_clauses: u64,
-    /// Clauses shortened by vivification.
-    pub vivified_clauses: u64,
-    /// Root-level inprocessing rounds run between restarts.
-    pub inprocessing_rounds: u64,
     /// Long-lived certificate provers created (at most one per
     /// program: the certify path shares a single proof-logging solver
     /// across every held assertion instead of cloning per assertion).
@@ -153,12 +129,6 @@ pub struct XbmcStats {
 }
 
 impl XbmcStats {
-    /// Total clauses removed by root-level inprocessing (subsumption
-    /// plus the originals replaced by strengthening and vivification).
-    pub fn inprocessing_removed(&self) -> u64 {
-        self.subsumed_clauses + self.strengthened_clauses + self.vivified_clauses
-    }
-
     /// Folds one solver's work counters into this check's totals.
     fn absorb(&mut self, s: &sat::SolverStats) {
         self.conflicts += s.conflicts;
@@ -166,17 +136,6 @@ impl XbmcStats {
         self.propagations += s.propagations;
         self.binary_propagations += s.binary_propagations;
         self.restarts += s.restarts;
-        self.glue_restarts += s.glue_restarts;
-        self.glue_core += s.glue_core;
-        self.glue_mid += s.glue_mid;
-        self.glue_local += s.glue_local;
-        self.tier_core_size += s.tier_core_size;
-        self.tier_mid_size += s.tier_mid_size;
-        self.tier_local_size += s.tier_local_size;
-        self.subsumed_clauses += s.subsumed_clauses;
-        self.strengthened_clauses += s.strengthened_clauses;
-        self.vivified_clauses += s.vivified_clauses;
-        self.inprocessing_rounds += s.inprocessing_rounds;
         self.pre_units_fixed += s.pre_units_fixed;
         self.pre_clauses_removed += s.pre_clauses_removed;
         self.cubes_learned += s.cube_shrink_calls;
@@ -192,20 +151,6 @@ impl XbmcStats {
         self.propagations += s.propagations - base.propagations;
         self.binary_propagations += s.binary_propagations - base.binary_propagations;
         self.restarts += s.restarts - base.restarts;
-        self.glue_restarts += s.glue_restarts - base.glue_restarts;
-        self.glue_core += s.glue_core - base.glue_core;
-        self.glue_mid += s.glue_mid - base.glue_mid;
-        self.glue_local += s.glue_local - base.glue_local;
-        // Tier sizes are gauges (live clauses after the last
-        // reduction), not monotone counters: a clone's reduction can
-        // leave fewer live clauses than the base snapshot had.
-        self.tier_core_size += s.tier_core_size.saturating_sub(base.tier_core_size);
-        self.tier_mid_size += s.tier_mid_size.saturating_sub(base.tier_mid_size);
-        self.tier_local_size += s.tier_local_size.saturating_sub(base.tier_local_size);
-        self.subsumed_clauses += s.subsumed_clauses - base.subsumed_clauses;
-        self.strengthened_clauses += s.strengthened_clauses - base.strengthened_clauses;
-        self.vivified_clauses += s.vivified_clauses - base.vivified_clauses;
-        self.inprocessing_rounds += s.inprocessing_rounds - base.inprocessing_rounds;
         self.pre_units_fixed += s.pre_units_fixed - base.pre_units_fixed;
         self.pre_clauses_removed += s.pre_clauses_removed - base.pre_clauses_removed;
         self.cubes_learned += s.cube_shrink_calls - base.cube_shrink_calls;

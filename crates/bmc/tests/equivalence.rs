@@ -421,14 +421,14 @@ proptest! {
         prop_assert!(r.stats.cubes_learned <= r.stats.sat_calls as u64);
     }
 
-    /// Cube enumeration on top of the tiered clause database with
-    /// root-level inprocessing forced on every restart: shrinking each
-    /// model to a minimal implicant, blocking the cube, and expanding
-    /// it back must reproduce the reference solver's exact
-    /// counterexample set even while subsumption and vivification are
-    /// rewriting the learned-clause arena between restarts.
+    /// Cube enumeration on one solver shared by every assertion (each
+    /// assertion's blocking clauses guarded by its own selector
+    /// literal): shrinking each model to a minimal implicant, blocking
+    /// the cube, and expanding it back must reproduce the reference
+    /// solver's exact counterexample set while blocking clauses from
+    /// earlier assertions stay in the database.
     #[test]
-    fn cube_enumeration_survives_aggressive_inprocessing(
+    fn cube_enumeration_on_a_shared_solver_matches_reference(
         ops in prop::collection::vec(0u8..3, 1..9),
     ) {
         let p = ai_of(&branchy_php(&ops));
@@ -437,7 +437,6 @@ proptest! {
         let lattice = TwoPoint::new();
         let enc = xbmc::renaming::encode(&p, &lattice);
         let mut solver = sat::Solver::from_formula(&enc.formula);
-        solver.set_inprocess_interval(1);
         let selector_base = enc.formula.num_vars();
         let mut got: Vec<(u32, Vec<bool>)> = Vec::new();
         for (ai_idx, a) in enc.asserts.iter().enumerate() {

@@ -29,10 +29,15 @@
 //! ## Sharding
 //!
 //! [`CacheShards`] splits one logical cache into N independent shards
-//! selected by content key, each behind its own lock, so under
-//! concurrent `/verify` traffic lookups on distinct files never contend
-//! on a single mutex. Shard choice is invisible in every report: it
-//! decides which lock a lookup takes, never what the lookup returns.
+//! selected by a hash of the file name, each behind its own lock, so
+//! under concurrent `/verify` traffic lookups on distinct files never
+//! contend on a single mutex. Routing by name rather than content key
+//! keeps every version of a file in one shard: an edited file's new
+//! entry replaces its stale one instead of sitting beside it in
+//! another shard, where both would count against the caps and `save`
+//! could keep the stale one. Shard choice is invisible in every
+//! report: it decides which lock a lookup takes, never what the lookup
+//! returns.
 //!
 //! ## Store parts
 //!
@@ -378,7 +383,7 @@ fn entry_from_value(value: &Value) -> Option<(u64, FileSummary)> {
 }
 
 /// One logical cache split across N independently locked shards
-/// selected by content key. See the module docs.
+/// selected by file name. See the module docs.
 #[derive(Debug)]
 pub struct CacheShards {
     shards: Vec<Mutex<Cache>>,
@@ -401,7 +406,7 @@ impl CacheShards {
     }
 
     /// Loads the single persisted cache file from `dir` and partitions
-    /// its entries across `n` shards by content key.
+    /// its entries across `n` shards by file name.
     pub fn load(dir: &Path, n: usize, fingerprint: &str, caps: CacheCaps) -> Self {
         let shards = CacheShards::new(n, fingerprint, caps);
         let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)) else {
@@ -432,11 +437,11 @@ impl CacheShards {
         self.shards.len()
     }
 
-    /// Which shard a content key routes to.
-    pub fn shard_of(&self, content_key: u64) -> usize {
-        // The content key is an FNV-1a style hash, so the low bits are
-        // already well mixed; a plain modulus spreads files evenly.
-        (content_key % self.shards.len() as u64) as usize
+    /// Which shard a file routes to: FNV-1a of its name, modulo the
+    /// shard count (the serve event loop picks a `/verify` lane the
+    /// same way).
+    pub fn shard_of(&self, file: &str) -> usize {
+        (hash::fnv1a_64(file.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// Looks up `file` in its shard, cloning the summary and the store
@@ -447,7 +452,7 @@ impl CacheShards {
         file: &str,
         content_key: u64,
     ) -> Option<(FileSummary, Option<Arc<StoreSummary>>)> {
-        self.shard(self.shard_of(content_key))
+        self.shard(self.shard_of(file))
             .lookup_entry(file, content_key)
             .map(|e| (e.summary.clone(), e.part.clone()))
     }
@@ -455,14 +460,14 @@ impl CacheShards {
     /// Inserts into the owning shard; returns how many entries the
     /// shard evicted to stay under its caps.
     pub fn insert(&self, content_key: u64, summary: FileSummary) -> u64 {
-        self.shard(self.shard_of(content_key))
+        self.shard(self.shard_of(&summary.file))
             .insert(content_key, summary)
     }
 
     /// Keeps `part` as the store part of `file`'s entry in the owning
     /// shard, if the entry is still the one for `content_key`.
     pub fn attach_part(&self, file: &str, content_key: u64, part: Arc<StoreSummary>) {
-        self.shard(self.shard_of(content_key))
+        self.shard(self.shard_of(file))
             .attach_part(file, content_key, part);
     }
 
@@ -761,6 +766,30 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&again).unwrap();
+    }
+
+    #[test]
+    fn an_edited_file_keeps_one_entry_across_shards() {
+        // Content keys 1 and 2 fall in different shards of two under
+        // key routing; by name they share one, so the edit replaces
+        // the stale entry.
+        let shards = CacheShards::new(2, "fp", CacheCaps::unlimited());
+        shards.insert(1, sample_summary("a.php", FileOutcome::Verified));
+        shards.insert(2, sample_summary("a.php", FileOutcome::Vulnerable));
+        assert_eq!(shards.len(), 1);
+        assert!(shards.lookup("a.php", 1).is_none());
+        assert!(shards.lookup("a.php", 2).is_some());
+
+        let dir = std::env::temp_dir().join(format!(
+            "webssari-cache-edit-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id(),
+        ));
+        shards.save(&dir).unwrap();
+        let text = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(text.contains(&hash::to_hex(2)), "{text}");
+        assert!(!text.contains(&hash::to_hex(1)), "{text}");
     }
 
     #[test]

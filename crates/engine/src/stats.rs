@@ -39,11 +39,6 @@ struct Counters {
     propagations: AtomicU64,
     binary_propagations: AtomicU64,
     restarts: AtomicU64,
-    glue_restarts: AtomicU64,
-    glue_core: AtomicU64,
-    glue_mid: AtomicU64,
-    glue_local: AtomicU64,
-    inprocessing_removed: AtomicU64,
     sat_calls: AtomicU64,
     pre_units_fixed: AtomicU64,
     pre_clauses_removed: AtomicU64,
@@ -91,17 +86,6 @@ pub struct EngineSnapshot {
     pub binary_propagations: u64,
     /// SAT solver restarts.
     pub restarts: u64,
-    /// Restarts triggered by the glue EMA rather than the Luby budget.
-    pub glue_restarts: u64,
-    /// Learned clauses that entered the core glue tier (LBD ≤ 2).
-    pub glue_core: u64,
-    /// Learned clauses that entered the mid glue tier (LBD 3–6).
-    pub glue_mid: u64,
-    /// Learned clauses that entered the local glue tier (LBD > 6).
-    pub glue_local: u64,
-    /// Clauses removed by root-level inprocessing (subsumption,
-    /// strengthening, vivification).
-    pub inprocessing_removed: u64,
     /// SAT solver invocations.
     pub sat_calls: u64,
     /// Root-level unit literals fixed by formula preprocessing.
@@ -167,11 +151,6 @@ impl EngineStats {
             propagations: load(&c.propagations),
             binary_propagations: load(&c.binary_propagations),
             restarts: load(&c.restarts),
-            glue_restarts: load(&c.glue_restarts),
-            glue_core: load(&c.glue_core),
-            glue_mid: load(&c.glue_mid),
-            glue_local: load(&c.glue_local),
-            inprocessing_removed: load(&c.inprocessing_removed),
             sat_calls: load(&c.sat_calls),
             pre_units_fixed: load(&c.pre_units_fixed),
             pre_clauses_removed: load(&c.pre_clauses_removed),
@@ -233,19 +212,6 @@ impl EngineStats {
                 .binary_propagations
                 .fetch_add(s.binary_propagations, Ordering::Relaxed);
             self.inner.restarts.fetch_add(s.restarts, Ordering::Relaxed);
-            self.inner
-                .glue_restarts
-                .fetch_add(s.glue_restarts, Ordering::Relaxed);
-            self.inner
-                .glue_core
-                .fetch_add(s.glue_core, Ordering::Relaxed);
-            self.inner.glue_mid.fetch_add(s.glue_mid, Ordering::Relaxed);
-            self.inner
-                .glue_local
-                .fetch_add(s.glue_local, Ordering::Relaxed);
-            self.inner
-                .inprocessing_removed
-                .fetch_add(s.inprocessing_removed(), Ordering::Relaxed);
             self.inner
                 .sat_calls
                 .fetch_add(s.sat_calls as u64, Ordering::Relaxed);

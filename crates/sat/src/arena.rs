@@ -4,8 +4,8 @@
 //! The pre-arena solver kept each clause as its own heap `Vec<Lit>`
 //! behind a `Vec<ClauseData>`, so touching a clause in the propagation
 //! inner loop cost two dependent pointer chases into unrelated cache
-//! lines. Here a clause is a header (length + flags, then activity,
-//! then glue) immediately followed by its literal codes, addressed by a
+//! lines. Here a clause is a two-word header (length + flags, then
+//! activity) immediately followed by its literal codes, addressed by a
 //! [`ClauseRef`] word offset — the MiniSat memory layout. Reading the
 //! header pulls the first literals into cache with it, and walking a
 //! clause is a linear scan of the same buffer.
@@ -17,17 +17,15 @@
 //! Binary clauses never live here: the solver keeps them in per-literal
 //! implication lists and encodes their reasons as tagged [`ClauseRef`]s
 //! (see [`ClauseRef::binary`]), so the arena only ever holds clauses of
-//! three or more literals plus learned clauses awaiting reduction.
+//! three or more literals, original and learned.
 
 use cnf::Lit;
 
 /// Words occupied by a clause header: `word0` packs the length and
-/// flags (`len << 3 | learnt | deleted << 1 | relocated << 2`), `word1`
-/// holds the activity as `f32` bits — or, after compaction, the
-/// forwarding [`ClauseRef`] of a relocated clause — and `word2` holds
-/// the clause's LBD (glue: distinct decision levels at learn time,
-/// lowered dynamically when the clause reappears as a reason).
-const HEADER_WORDS: usize = 3;
+/// flags (`len << 3 | learnt | deleted << 1 | relocated << 2`) and
+/// `word1` holds the activity as `f32` bits — or, after compaction, the
+/// forwarding [`ClauseRef`] of a relocated clause.
+const HEADER_WORDS: usize = 2;
 const LEARNT: u32 = 1;
 const DELETED: u32 = 1 << 1;
 const RELOCATED: u32 = 1 << 2;
@@ -103,7 +101,6 @@ impl ClauseArena {
         self.data.reserve(HEADER_WORDS + lits.len());
         self.data.push(header);
         self.data.push(0f32.to_bits());
-        self.data.push(lits.len() as u32); // LBD upper bound until measured
         self.data.extend(lits.iter().map(|l| l.code() as u32));
         ClauseRef(at)
     }
@@ -165,19 +162,6 @@ impl ClauseArena {
     #[inline]
     pub(crate) fn set_activity(&mut self, c: ClauseRef, a: f32) {
         self.data[c.0 as usize + 1] = a.to_bits();
-    }
-
-    /// The clause's LBD (glue). Meaningful for learnt clauses; original
-    /// clauses carry their length as a placeholder.
-    #[inline]
-    pub(crate) fn lbd(&self, c: ClauseRef) -> u32 {
-        self.data[c.0 as usize + 2]
-    }
-
-    /// Sets the clause's LBD.
-    #[inline]
-    pub(crate) fn set_lbd(&mut self, c: ClauseRef, lbd: u32) {
-        self.data[c.0 as usize + 2] = lbd;
     }
 
     /// Scales every learnt clause's activity by `factor`.
@@ -305,17 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn lbd_defaults_to_len_and_is_settable() {
-        let mut a = ClauseArena::default();
-        let c = a.alloc(&[lit(0, true), lit(1, true), lit(2, true)], true);
-        assert_eq!(a.lbd(c), 3);
-        a.set_lbd(c, 2);
-        assert_eq!(a.lbd(c), 2);
-        a.set_activity(c, 9.0);
-        assert_eq!(a.lbd(c), 2, "activity and lbd words are independent");
-    }
-
-    #[test]
     fn compaction_forwards_live_clauses() {
         let mut a = ClauseArena::default();
         let c0 = a.alloc(&[lit(0, true), lit(1, true)], false);
@@ -335,13 +308,13 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_lbd() {
+    fn compaction_preserves_activity() {
         let mut a = ClauseArena::default();
         let c = a.alloc(&[lit(0, true), lit(1, true), lit(2, true)], true);
-        a.set_lbd(c, 2);
+        a.set_activity(c, 2.5);
         let new = a.compact_into();
         let n = a.forward(c).expect("live");
-        assert_eq!(new.lbd(n), 2);
+        assert_eq!(new.activity(n), 2.5);
     }
 
     #[test]

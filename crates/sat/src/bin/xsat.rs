@@ -76,13 +76,14 @@ fn main() -> ExitCode {
         formula.num_clauses()
     );
     let mut solver = Solver::from_formula(&formula);
-    solver.set_conflict_limit(limit);
-    if let Some(ms) = budget_ms {
-        solver.set_budget(
-            sat::Budget::new()
-                .deadline(std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-        );
+    let mut budget = sat::Budget::new();
+    if let Some(n) = limit {
+        budget = budget.max_conflicts(n);
     }
+    if let Some(ms) = budget_ms {
+        budget = budget.deadline(std::time::Instant::now() + std::time::Duration::from_millis(ms));
+    }
+    solver.set_budget(budget);
     let want_proof = proof_path.is_some() || verify;
     if want_proof {
         solver.start_proof();
@@ -138,7 +139,7 @@ fn main() -> ExitCode {
         }
         SatResult::Interrupted => {
             println!("c {}", solver.stats());
-            println!("c interrupted by --budget-ms");
+            println!("c interrupted by --limit or --budget-ms");
             println!("s UNKNOWN");
             ExitCode::SUCCESS
         }

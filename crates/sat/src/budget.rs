@@ -2,10 +2,11 @@
 //!
 //! A [`Budget`] bounds how much work a single `solve` call may do
 //! before giving up with [`SatResult::Interrupted`](crate::SatResult).
-//! Unlike the conflict *limit* (which models an incomplete solver and
-//! returns `Unknown`), a budget models an external scheduler reclaiming
-//! a stuck job: the engine crate uses it to degrade a pathological file
-//! to a `Timeout` outcome instead of wedging a worker.
+//! Unlike the reference solver's conflict *limit* (which models an
+//! incomplete solver and returns `Unknown`), a budget models an
+//! external scheduler reclaiming a stuck job: the engine crate uses it
+//! to degrade a pathological file to a `Timeout` outcome instead of
+//! wedging a worker. It is the arena solver's only conflict bound.
 
 use std::time::Instant;
 

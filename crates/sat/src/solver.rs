@@ -21,61 +21,27 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Outcome of a subsumption check between two clauses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Subsume {
-    /// The candidate is a superset: delete it.
-    Exact,
-    /// All but one literal match, one appears negated in the candidate:
-    /// remove that literal from the candidate (self-subsuming
-    /// resolution).
-    Strengthen(Lit),
-    No,
-}
-
 /// Restart interval unit: conflicts per Luby term.
 const RESTART_BASE: u64 = 100;
 const VAR_DECAY: f64 = 0.95;
 const CLAUSE_DECAY: f64 = 0.999;
-/// Learned clauses with LBD at or below this are core tier: kept
-/// forever, never considered by database reduction.
-const LBD_CORE: u32 = 2;
-/// Learned clauses with LBD at or below this (but above core) are mid
-/// tier, reduced by activity; above is the local tier, reduced
-/// aggressively.
-const LBD_MID: u32 = 6;
-/// EMA smoothing for the recent-LBD estimate (per conflict).
-const GLUE_ALPHA_FAST: f64 = 1.0 / 32.0;
-/// EMA smoothing for the long-term LBD estimate (per conflict).
-const GLUE_ALPHA_SLOW: f64 = 1.0 / 1024.0;
-/// Minimum conflicts since the last restart before the glue EMA may
-/// trigger another.
-const GLUE_RESTART_MIN: u64 = 100;
-/// Glue restart threshold: restart when recent LBD exceeds the
-/// long-term average by this factor.
-const GLUE_RESTART_K: f64 = 1.4;
-/// EMA smoothing for the trail-size-at-conflict estimate.
-const TRAIL_ALPHA: f64 = 1.0 / 4096.0;
-/// Restart blocking: a conflict with a trail this many times deeper
-/// than average postpones any pending glue restart (the search is
-/// reaching unusually complete assignments — let it finish).
-const TRAIL_BLOCK_R: f64 = 1.4;
-/// Default conflicts between root-level inprocessing rounds.
-const INPROCESS_INTERVAL: u64 = 20_000;
-/// Learned clauses vivified per inprocessing round.
-const VIVIFY_CAP: usize = 300;
-/// Subset checks allowed per backward-subsumption round.
-const SUBSUME_BUDGET: u64 = 200_000;
-/// Longest arena clause used as a subsumer.
-const SUBSUMER_MAX_LEN: usize = 8;
 
 /// A CDCL SAT solver with two-literal watching, 1UIP learning, VSIDS,
 /// phase saving, Luby restarts, and learned-clause reduction.
 ///
+/// The conflict path is deliberately plain: every restart follows the
+/// Luby sequence (in units of 100 conflicts), and when the learned
+/// clauses outgrow their cap the least-active half of those not
+/// currently acting as reasons is deleted. BMC encodings are solved by
+/// root propagation almost always, so the search rarely reaches
+/// either.
+///
 /// The clause database is a single flat `u32` arena
 /// ([`crate::arena`]): headers are inlined before the literals, clauses
 /// are addressed by word offsets, and learned-clause reduction compacts
-/// the buffer in place. The propagation inner loop detaches the
+/// the buffer in place. Binary clauses skip the arena: they live in
+/// per-literal implication lists that propagation walks before the
+/// watcher lists. The propagation inner loop detaches the
 /// active watcher list, walks it locally with blocker-first checks,
 /// and swap-removes relocated watchers in O(1); conflict analysis
 /// reuses a scratch buffer. Steady-state
@@ -134,21 +100,8 @@ pub struct Solver {
     seen: Vec<bool>,
     /// Scratch buffer recycled across conflict analyses.
     analyze_buf: Vec<Lit>,
-    /// Level-stamp scratch for LBD computation (`level_stamp[lvl] ==
-    /// lbd_stamp` marks a level already counted this round).
-    level_stamp: Vec<u64>,
-    lbd_stamp: u64,
-    /// EMA of recent learned-clause LBD (fast) vs long-term (slow);
-    /// restarts fire when recent glue runs high.
-    lbd_ema_fast: f64,
-    lbd_ema_slow: f64,
-    lbd_ema_ready: bool,
-    /// EMA of trail depth at conflicts; deep-trail conflicts block glue
-    /// restarts so a nearly-complete assignment is not thrown away.
-    trail_ema: f64,
     ok: bool,
     stats: SolverStats,
-    conflict_limit: Option<u64>,
     budget: Budget,
     num_original: usize,
     /// Learned clauses living in the arena (binary learned clauses are
@@ -156,11 +109,6 @@ pub struct Solver {
     num_learnt: usize,
     num_learnt_binary: usize,
     max_learnt: f64,
-    inprocess_interval: u64,
-    conflicts_at_inprocess: u64,
-    /// Rotates vivification across rounds so the same clauses are not
-    /// re-probed every time.
-    vivify_rot: usize,
     proof: Option<Proof>,
 }
 
@@ -182,23 +130,13 @@ impl Default for Solver {
             saved_phase: Vec::new(),
             seen: Vec::new(),
             analyze_buf: Vec::new(),
-            level_stamp: Vec::new(),
-            lbd_stamp: 0,
-            lbd_ema_fast: 0.0,
-            lbd_ema_slow: 0.0,
-            lbd_ema_ready: false,
-            trail_ema: 0.0,
             ok: true,
             stats: SolverStats::default(),
-            conflict_limit: None,
             budget: Budget::default(),
             num_original: 0,
             num_learnt: 0,
             num_learnt_binary: 0,
             max_learnt: 0.0,
-            inprocess_interval: INPROCESS_INTERVAL,
-            conflicts_at_inprocess: 0,
-            vivify_rot: 0,
             proof: None,
         }
     }
@@ -336,7 +274,6 @@ impl Solver {
         self.reason.resize(n, ClauseRef::UNDEF);
         self.saved_phase.resize(n, false);
         self.seen.resize(n, false);
-        self.level_stamp.resize(n + 1, 0);
         self.watches.resize(n * 2, Vec::new());
         self.bin_implications.resize(n * 2, Vec::new());
         self.heap.grow(n);
@@ -359,13 +296,6 @@ impl Solver {
         &self.stats
     }
 
-    /// Limits the total number of conflicts per `solve` call; when
-    /// exceeded, `solve` returns [`SatResult::Unknown`]. `None` removes
-    /// the limit.
-    pub fn set_conflict_limit(&mut self, limit: Option<u64>) {
-        self.conflict_limit = limit;
-    }
-
     /// Installs a cooperative [`Budget`] checked during every `solve`
     /// call; when a bound is exceeded mid-search, `solve` returns
     /// [`SatResult::Interrupted`]. The budget persists across calls
@@ -379,15 +309,6 @@ impl Solver {
     /// The currently installed budget.
     pub fn budget(&self) -> Budget {
         self.budget
-    }
-
-    /// Sets the number of conflicts between root-level inprocessing
-    /// rounds (backward subsumption + clause vivification, run between
-    /// restarts at decision level 0). Lower values inprocess more
-    /// eagerly — useful in tests; the default suits BMC-sized
-    /// instances.
-    pub fn set_inprocess_interval(&mut self, conflicts: u64) {
-        self.inprocess_interval = conflicts.max(1);
     }
 
     /// Starts recording a clausal (DRAT) proof: learned clauses,
@@ -746,37 +667,6 @@ impl Solver {
         self.cla_inc /= CLAUSE_DECAY;
     }
 
-    /// LBD of a literal set: the number of distinct decision levels
-    /// among its (assigned) literals, via a stamped scratch array.
-    fn compute_lbd(&mut self, lits: &[Lit]) -> u32 {
-        self.lbd_stamp += 1;
-        let stamp = self.lbd_stamp;
-        let mut glue = 0u32;
-        for &l in lits {
-            let lev = self.level[l.var().index()] as usize;
-            if self.level_stamp[lev] != stamp {
-                self.level_stamp[lev] = stamp;
-                glue += 1;
-            }
-        }
-        glue
-    }
-
-    /// LBD of an arena clause under the current assignment.
-    fn clause_lbd(&mut self, c: ClauseRef) -> u32 {
-        self.lbd_stamp += 1;
-        let stamp = self.lbd_stamp;
-        let mut glue = 0u32;
-        for k in 0..self.arena.len(c) {
-            let lev = self.level[self.arena.lit(c, k).var().index()] as usize;
-            if self.level_stamp[lev] != stamp {
-                self.level_stamp[lev] = stamp;
-                glue += 1;
-            }
-        }
-        glue
-    }
-
     /// First-UIP conflict analysis into `learnt` (a recycled scratch
     /// buffer; the asserting literal ends at index 0). Returns the
     /// backjump level. Clause literals are read straight out of the
@@ -806,15 +696,6 @@ impl Solver {
             } else {
                 if self.arena.is_learnt(confl) {
                     self.bump_clause(confl);
-                    // Dynamic glue: a learned clause involved in a new
-                    // conflict may now span fewer levels; lowering its
-                    // LBD can promote it toward the core tier.
-                    if self.arena.lbd(confl) > LBD_CORE {
-                        let glue = self.clause_lbd(confl);
-                        if glue < self.arena.lbd(confl) {
-                            self.arena.set_lbd(confl, glue);
-                        }
-                    }
                 }
                 let len = self.arena.len(confl);
                 let start = usize::from(p.is_some());
@@ -911,49 +792,26 @@ impl Solver {
         learnt.truncate(kept);
     }
 
-    /// Tiered learned-clause reduction. Core clauses (LBD ≤
-    /// [`LBD_CORE`], including every binary learned clause) are kept
-    /// forever; the mid tier (LBD ≤ [`LBD_MID`]) drops its
-    /// least-active half; the local tier drops its least-active three
-    /// quarters. Locked clauses (current reasons) always survive.
+    /// Learned-clause reduction: deletes the least-active half of the
+    /// unlocked learned clauses in the arena (the policy
+    /// [`crate::reference`] uses). Locked clauses — current reasons —
+    /// always survive, and binary learned clauses never enter the
+    /// arena, so they are kept too. Each deletion is logged as a proof
+    /// `Delete`, and the arena is compacted afterwards.
     fn reduce_db(&mut self) {
-        let mut mid: Vec<ClauseRef> = Vec::new();
-        let mut local: Vec<ClauseRef> = Vec::new();
-        let mut core = 0u64;
-        let mut mid_locked = 0u64;
-        let mut local_locked = 0u64;
-        for c in self.arena.refs() {
-            if !self.arena.is_learnt(c) || self.arena.is_deleted(c) {
-                continue;
-            }
-            let lbd = self.arena.lbd(c);
-            if lbd <= LBD_CORE {
-                core += 1;
-            } else if self.is_locked(c) {
-                if lbd <= LBD_MID {
-                    mid_locked += 1;
-                } else {
-                    local_locked += 1;
-                }
-            } else if lbd <= LBD_MID {
-                mid.push(c);
-            } else {
-                local.push(c);
-            }
-        }
-        let by_activity = |arena: &ClauseArena, refs: &mut Vec<ClauseRef>| {
-            refs.sort_by(|&a, &b| {
-                arena
-                    .activity(a)
-                    .partial_cmp(&arena.activity(b))
-                    .expect("clause activities are finite")
-            });
-        };
-        by_activity(&self.arena, &mut mid);
-        by_activity(&self.arena, &mut local);
-        let mid_del = mid.len() / 2;
-        let local_del = local.len() - local.len() / 4;
-        for &c in mid[..mid_del].iter().chain(&local[..local_del]) {
+        let mut learnt_refs: Vec<ClauseRef> = self
+            .arena
+            .refs()
+            .filter(|&c| self.arena.is_learnt(c) && !self.arena.is_deleted(c) && !self.is_locked(c))
+            .collect();
+        learnt_refs.sort_by(|&a, &b| {
+            self.arena
+                .activity(a)
+                .partial_cmp(&self.arena.activity(b))
+                .expect("clause activities are finite")
+        });
+        let to_delete = learnt_refs.len() / 2;
+        for &c in &learnt_refs[..to_delete] {
             if self.proof.is_some() {
                 let lits = self.arena.lits_vec(c);
                 self.record(ProofStep::Delete(lits));
@@ -962,9 +820,6 @@ impl Solver {
             self.num_learnt -= 1;
             self.stats.deleted_clauses += 1;
         }
-        self.stats.tier_core_size = core + self.num_learnt_binary as u64;
-        self.stats.tier_mid_size = (mid.len() - mid_del) as u64 + mid_locked;
-        self.stats.tier_local_size = (local.len() - local_del) as u64 + local_locked;
         self.sync_learnt_count();
         if self.arena.wasted() > 0 {
             self.garbage_collect();
@@ -997,377 +852,6 @@ impl Solver {
             }
         }
         self.arena = new_arena;
-    }
-
-    /// Removes an arena clause eagerly: proof `Delete`, watcher
-    /// detachment (so propagation between now and the next compaction
-    /// never uses it), arena tombstone, and counter upkeep. Inprocessing
-    /// uses this; `reduce_db` skips the detach because it compacts
-    /// immediately.
-    fn remove_clause(&mut self, c: ClauseRef) {
-        debug_assert!(!self.arena.is_deleted(c));
-        if self.proof.is_some() {
-            let lits = self.arena.lits_vec(c);
-            self.record(ProofStep::Delete(lits));
-        }
-        for i in 0..2 {
-            let l = self.arena.lit(c, i);
-            self.watches[l.code()].retain(|w| w.clause != c);
-        }
-        if self.arena.is_learnt(c) {
-            self.num_learnt -= 1;
-        } else {
-            self.num_original -= 1;
-        }
-        self.arena.delete(c);
-        self.sync_learnt_count();
-    }
-
-    /// Replaces clause `c` by the (strictly shorter, RUP-derivable)
-    /// `new_lits`, recording `Add(new)` before `Delete(old)` so the
-    /// DRAT stream stays checkable. Shortening to two literals migrates
-    /// the clause into the binary implication lists; to one, enqueues a
-    /// root unit; to zero, refutes the database.
-    fn shorten_clause(&mut self, c: ClauseRef, new_lits: &[Lit]) {
-        debug_assert!(self.decision_level() == 0);
-        debug_assert!(new_lits.len() < self.arena.len(c));
-        if self.proof.is_some() {
-            self.record(ProofStep::Add(new_lits.to_vec()));
-        }
-        let learnt = self.arena.is_learnt(c);
-        let activity = self.arena.activity(c);
-        let lbd = self.arena.lbd(c);
-        self.remove_clause(c);
-        match new_lits.len() {
-            0 => self.ok = false,
-            1 => match self.value(new_lits[0]) {
-                LBool::True => {}
-                LBool::False => self.ok = false,
-                LBool::Undef => self.enqueue(new_lits[0], ClauseRef::UNDEF),
-            },
-            _ => {
-                let nc = self.attach_clause(new_lits, learnt);
-                if !nc.is_binary() {
-                    self.arena.set_activity(nc, activity);
-                    self.arena.set_lbd(nc, lbd.min(new_lits.len() as u32));
-                }
-            }
-        }
-    }
-
-    /// Clause vivification at the root: for a bounded, rotating sample
-    /// of long learned clauses, assume the negation of each literal in
-    /// turn at a throwaway decision level; a conflict or an implied
-    /// literal proves a strictly shorter clause (RUP against the
-    /// database, which still contains the original), and a falsified
-    /// literal is redundant and dropped.
-    fn vivify_round(&mut self) {
-        let cands: Vec<ClauseRef> = self
-            .arena
-            .refs()
-            .filter(|&c| {
-                self.arena.is_learnt(c)
-                    && !self.arena.is_deleted(c)
-                    && self.arena.len(c) >= 3
-                    && self.arena.lbd(c) > LBD_CORE
-            })
-            .collect();
-        if cands.is_empty() {
-            return;
-        }
-        let n = cands.len();
-        let start = self.vivify_rot % n;
-        let cap = n.min(VIVIFY_CAP);
-        for t in 0..cap {
-            if !self.ok {
-                return;
-            }
-            let c = cands[(start + t) % n];
-            if self.arena.is_deleted(c) {
-                continue;
-            }
-            let lits = self.arena.lits_vec(c);
-            if lits.iter().any(|&l| self.value(l) == LBool::True) {
-                continue; // satisfied at the root; simplify removes it
-            }
-            self.new_decision_level();
-            let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-            for &l in &lits {
-                match self.value(l) {
-                    // The assumed prefix already implies `l`: the
-                    // clause shortens to the prefix plus `l`.
-                    LBool::True => {
-                        kept.push(l);
-                        break;
-                    }
-                    // The prefix implies `¬l`: `l` is redundant.
-                    LBool::False => {}
-                    LBool::Undef => {
-                        kept.push(l);
-                        self.enqueue(!l, ClauseRef::UNDEF);
-                        if self.propagate().is_some() {
-                            // The prefix alone is contradictory: it is
-                            // a clause by itself.
-                            break;
-                        }
-                    }
-                }
-            }
-            self.cancel_until(0);
-            if kept.len() < lits.len() {
-                self.stats.vivified_clauses += 1;
-                self.shorten_clause(c, &kept);
-            }
-        }
-        self.vivify_rot = self.vivify_rot.wrapping_add(cap);
-    }
-
-    /// Root simplification: deletes clauses satisfied at decision level
-    /// 0 and strips root-false literals (recorded as `Add`+`Delete` so
-    /// proofs replay), keeping the arena free of dead literals before
-    /// subsumption indexes it.
-    fn root_simplify(&mut self) {
-        let refs: Vec<ClauseRef> = self
-            .arena
-            .refs()
-            .filter(|&c| !self.arena.is_deleted(c))
-            .collect();
-        for c in refs {
-            if !self.ok {
-                return;
-            }
-            let lits = self.arena.lits_vec(c);
-            if lits.iter().any(|&l| self.value(l) == LBool::True) {
-                self.stats.pre_clauses_removed += 1;
-                self.remove_clause(c);
-                continue;
-            }
-            let live: Vec<Lit> = lits
-                .iter()
-                .copied()
-                .filter(|&l| self.value(l) == LBool::Undef)
-                .collect();
-            if live.len() < lits.len() {
-                self.stats.pre_lits_removed += (lits.len() - live.len()) as u64;
-                self.shorten_clause(c, &live);
-            }
-        }
-    }
-
-    /// Backward subsumption and self-subsuming resolution over the
-    /// arena, with binary clauses and short arena clauses as subsumers.
-    /// Subsumed clauses are deleted; a single-negation near-subset
-    /// strengthens the candidate (resolvent recorded before the
-    /// original's `Delete`).
-    fn subsume_round(&mut self) {
-        let crefs: Vec<ClauseRef> = self
-            .arena
-            .refs()
-            .filter(|&c| !self.arena.is_deleted(c))
-            .collect();
-        let n = crefs.len();
-        let mut sigs: Vec<u64> = Vec::with_capacity(n);
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.watches.len()];
-        for (i, &c) in crefs.iter().enumerate() {
-            let mut sig = 0u64;
-            for k in 0..self.arena.len(c) {
-                let l = self.arena.lit(c, k);
-                sig |= 1u64 << (l.var().index() % 64);
-                occ[l.code()].push(i as u32);
-            }
-            sigs.push(sig);
-        }
-        let mut alive = vec![true; n];
-        let mut budget = SUBSUME_BUDGET;
-
-        // Pass 1: binary subsumers. (x ∨ y) subsumes any clause
-        // containing both; a clause with x and ¬y loses ¬y.
-        let mut binaries: Vec<(Lit, Lit)> = Vec::new();
-        for code in 0..self.bin_implications.len() {
-            let x = !Lit::from_code(code);
-            for &y in &self.bin_implications[code] {
-                if x.code() < y.code() {
-                    binaries.push((x, y));
-                }
-            }
-        }
-        'bins: for (x, y) in binaries {
-            for (watch, strengthen_away) in [(x, !y), (y, !x)] {
-                // Indexed: the body mutates `self`, so `occ` cannot be
-                // held as an iterator across it.
-                #[allow(clippy::needless_range_loop)]
-                for t in 0..occ[watch.code()].len() {
-                    if budget == 0 {
-                        break 'bins;
-                    }
-                    budget -= 1;
-                    let i = occ[watch.code()][t] as usize;
-                    if !alive[i] || self.arena.is_deleted(crefs[i]) {
-                        continue;
-                    }
-                    let d = crefs[i];
-                    let mut has_other = false;
-                    let mut has_neg = false;
-                    for k in 0..self.arena.len(d) {
-                        let l = self.arena.lit(d, k);
-                        if watch == x && l == y {
-                            has_other = true;
-                        }
-                        if l == strengthen_away {
-                            has_neg = true;
-                        }
-                    }
-                    if has_other {
-                        alive[i] = false;
-                        self.stats.subsumed_clauses += 1;
-                        self.remove_clause(d);
-                    } else if has_neg {
-                        alive[i] = false;
-                        self.strengthen(d, strengthen_away);
-                        if !self.ok {
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pass 2: short arena clauses as subsumers, candidates found
-        // through the least-occurring literal, pruned by signature.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| self.arena.len(crefs[i]));
-        'outer: for &i in &order {
-            if !alive[i] || self.arena.is_deleted(crefs[i]) {
-                continue;
-            }
-            let c = crefs[i];
-            let clen = self.arena.len(c);
-            if clen > SUBSUMER_MAX_LEN {
-                break; // sorted by length: nothing shorter follows
-            }
-            let mut min_lit = self.arena.lit(c, 0);
-            for k in 1..clen {
-                let l = self.arena.lit(c, k);
-                if occ[l.code()].len() < occ[min_lit.code()].len() {
-                    min_lit = l;
-                }
-            }
-            // A candidate contains every literal of `c` with at most
-            // one negated — so it holds either `min_lit` or its
-            // negation; both occurrence lists are scanned.
-            for probe in [min_lit, !min_lit] {
-                // Indexed: the body mutates `self`, so `occ` cannot be
-                // held as an iterator across it.
-                #[allow(clippy::needless_range_loop)]
-                for t in 0..occ[probe.code()].len() {
-                    if budget == 0 {
-                        break 'outer;
-                    }
-                    budget -= 1;
-                    let j = occ[probe.code()][t] as usize;
-                    if j == i || !alive[j] || self.arena.is_deleted(crefs[j]) {
-                        continue;
-                    }
-                    if self.arena.len(crefs[j]) < clen || sigs[i] & !sigs[j] != 0 {
-                        continue;
-                    }
-                    match self.subsumes(c, crefs[j]) {
-                        Subsume::No => {}
-                        Subsume::Exact => {
-                            alive[j] = false;
-                            self.stats.subsumed_clauses += 1;
-                            self.remove_clause(crefs[j]);
-                        }
-                        Subsume::Strengthen(l) => {
-                            alive[j] = false;
-                            self.strengthen(crefs[j], l);
-                            if !self.ok {
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Does clause `c` subsume `d` — every literal of `c` in `d`, with
-    /// at most one appearing negated (self-subsuming resolution, which
-    /// removes that negation from `d`)?
-    fn subsumes(&self, c: ClauseRef, d: ClauseRef) -> Subsume {
-        let mut neg: Option<Lit> = None;
-        'lits: for k in 0..self.arena.len(c) {
-            let l = self.arena.lit(c, k);
-            for m in 0..self.arena.len(d) {
-                let q = self.arena.lit(d, m);
-                if q == l {
-                    continue 'lits;
-                }
-                if q == !l {
-                    if neg.is_some() {
-                        return Subsume::No;
-                    }
-                    neg = Some(q);
-                    continue 'lits;
-                }
-            }
-            return Subsume::No;
-        }
-        match neg {
-            None => Subsume::Exact,
-            Some(q) => Subsume::Strengthen(q),
-        }
-    }
-
-    /// Removes `away` from clause `d` (self-subsuming resolution).
-    fn strengthen(&mut self, d: ClauseRef, away: Lit) {
-        self.stats.strengthened_clauses += 1;
-        let new_lits: Vec<Lit> = self
-            .arena
-            .lits_vec(d)
-            .into_iter()
-            .filter(|&l| l != away)
-            .collect();
-        self.shorten_clause(d, &new_lits);
-    }
-
-    /// Root-level inprocessing between restarts: vivification first
-    /// (its probes must run while every clause it may rely on is still
-    /// attached and not yet `Delete`-recorded), then root
-    /// simplification and backward subsumption, then one compaction.
-    /// Root reasons are cleared up front — level-0 reasons are never
-    /// dereferenced by analysis, and clearing them lets subsumption
-    /// delete clauses that happen to be root reasons.
-    fn inprocess(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        if !self.ok {
-            return;
-        }
-        self.stats.inprocessing_rounds += 1;
-        for &p in &self.trail {
-            self.reason[p.var().index()] = ClauseRef::UNDEF;
-        }
-        self.vivify_round();
-        if self.ok {
-            self.root_simplify();
-        }
-        if self.ok {
-            self.subsume_round();
-        }
-        // Re-propagate the whole root trail: strengthening may have
-        // enqueued new units, and vivification probes advanced `qhead`
-        // past literals whose consequences were unwound with the
-        // throwaway level.
-        self.qhead = 0;
-        if self.ok && self.propagate().is_some() {
-            self.ok = false;
-        }
-        for &p in &self.trail {
-            self.reason[p.var().index()] = ClauseRef::UNDEF;
-        }
-        if self.arena.wasted() > 0 {
-            self.garbage_collect();
-        }
     }
 
     fn is_locked(&self, c: ClauseRef) -> bool {
@@ -1505,27 +989,6 @@ impl Solver {
                 }
                 let mut learnt = std::mem::take(&mut self.analyze_buf);
                 let backjump = self.analyze(confl, &mut learnt);
-                // Glue is measured before backjumping while every
-                // literal still has its conflict-time level.
-                let glue = self.compute_lbd(&learnt);
-                let depth = self.trail.len() as f64;
-                if self.lbd_ema_ready {
-                    self.lbd_ema_fast += GLUE_ALPHA_FAST * (glue as f64 - self.lbd_ema_fast);
-                    self.lbd_ema_slow += GLUE_ALPHA_SLOW * (glue as f64 - self.lbd_ema_slow);
-                    // Restart blocking (Glucose-style): an unusually
-                    // deep trail means the search is close to a full
-                    // assignment; discard the recent-glue evidence so
-                    // a pending glue restart does not cut it short.
-                    if depth > TRAIL_BLOCK_R * self.trail_ema {
-                        self.lbd_ema_fast = self.lbd_ema_slow;
-                    }
-                    self.trail_ema += TRAIL_ALPHA * (depth - self.trail_ema);
-                } else {
-                    self.lbd_ema_fast = glue as f64;
-                    self.lbd_ema_slow = glue as f64;
-                    self.lbd_ema_ready = true;
-                    self.trail_ema = depth;
-                }
                 if self.proof.is_some() {
                     self.record(ProofStep::Add(learnt.clone()));
                 }
@@ -1533,68 +996,31 @@ impl Solver {
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], ClauseRef::UNDEF);
                 } else {
-                    match glue {
-                        0..=LBD_CORE => self.stats.glue_core += 1,
-                        3..=LBD_MID => self.stats.glue_mid += 1,
-                        _ => self.stats.glue_local += 1,
-                    }
                     let asserting = learnt[0];
                     let c = self.attach_clause(&learnt, true);
                     if !c.is_binary() {
-                        self.arena.set_lbd(c, glue);
                         self.bump_clause(c);
                     }
                     self.enqueue(asserting, c);
                 }
                 self.analyze_buf = learnt;
                 self.decay_activities();
-                if let Some(limit) = self.conflict_limit {
-                    if conflicts_this_solve >= limit {
-                        self.cancel_until(0);
-                        return SatResult::Unknown;
-                    }
-                }
                 if self.budget.conflicts_exhausted(conflicts_this_solve) {
                     self.cancel_until(0);
                     return SatResult::Interrupted;
                 }
             } else {
-                // Glue-aware restarts: fire when recent learned-clause
-                // LBD runs well above the long-term average (the
-                // current search region is producing poor clauses);
-                // the Luby budget stays as a forced fallback.
-                let glue_restart = conflicts_since_restart >= GLUE_RESTART_MIN
-                    && self.lbd_ema_ready
-                    && self.lbd_ema_fast > GLUE_RESTART_K * self.lbd_ema_slow;
-                if glue_restart || conflicts_since_restart >= restart_budget {
-                    if glue_restart {
-                        self.stats.glue_restarts += 1;
-                        // Re-arm: recent history starts over at the
-                        // long-term average.
-                        self.lbd_ema_fast = self.lbd_ema_slow;
-                    }
+                if conflicts_since_restart >= restart_budget {
                     restart_idx += 1;
                     conflicts_since_restart = 0;
                     restart_budget = RESTART_BASE * luby(restart_idx);
                     self.stats.restarts += 1;
                     self.cancel_until(0);
-                    if self.stats.conflicts - self.conflicts_at_inprocess >= self.inprocess_interval
-                    {
-                        self.conflicts_at_inprocess = self.stats.conflicts;
-                        self.inprocess();
-                        if !self.ok {
-                            self.record(ProofStep::Add(Vec::new()));
-                            return SatResult::Unsat;
-                        }
-                    }
                     continue;
                 }
                 if self.num_learnt as f64 > self.max_learnt {
                     self.reduce_db();
-                    // Core-tier clauses are never deleted, so the cap
-                    // must stay above the surviving count or reduction
-                    // would re-trigger every conflict.
-                    self.max_learnt = (self.max_learnt * 1.5).max(self.num_learnt as f64 + 200.0);
+                    self.max_learnt *= 1.5;
                 }
                 // Assumption levels come first, then free decisions.
                 if self.decision_level() < assumptions.len() {
@@ -1631,21 +1057,6 @@ impl Solver {
     fn extract_model(&self) -> Model {
         let values = self.assign.iter().map(|&a| a == LBool::True).collect();
         Model::from_values(values)
-    }
-
-    /// Test hook: runs one learned-clause reduction (and the arena
-    /// compaction it triggers) regardless of the usual threshold.
-    #[cfg(test)]
-    pub(crate) fn force_reduce(&mut self) {
-        self.reduce_db();
-    }
-
-    /// Test hook: runs one root-level inprocessing round regardless of
-    /// the conflict interval.
-    #[cfg(test)]
-    pub(crate) fn force_inprocess(&mut self) {
-        self.cancel_until(0);
-        self.inprocess();
     }
 }
 
@@ -1824,18 +1235,6 @@ mod tests {
             }
         }
         assert_eq!(count, 3);
-    }
-
-    #[test]
-    fn conflict_limit_returns_unknown() {
-        // A formula hard enough to need more than one conflict:
-        // pigeonhole PHP(4,3).
-        let f = pigeonhole(4, 3);
-        let mut s = Solver::from_formula(&f);
-        s.set_conflict_limit(Some(1));
-        assert_eq!(s.solve(), SatResult::Unknown);
-        s.set_conflict_limit(None);
-        assert!(s.solve().is_unsat());
     }
 
     #[test]
@@ -2020,28 +1419,28 @@ mod tests {
 
     #[test]
     fn reduction_and_compaction_preserve_answers() {
-        let f = pigeonhole(5, 4);
+        let f = pigeonhole(6, 5);
         let mut s = Solver::from_formula(&f);
-        // Accumulate some learnt clauses (the instance may or may not be
-        // refuted within the limit — either way the database is populated).
-        s.set_conflict_limit(Some(40));
-        let _ = s.solve();
-        s.set_conflict_limit(None);
+        // Accumulate some learnt clauses: the budget interrupts the
+        // search with the database populated.
+        s.set_budget(Budget::new().max_conflicts(40));
+        assert_eq!(s.solve(), SatResult::Interrupted);
+        s.set_budget(Budget::default());
         let learnt_before = s.stats().learnt_clauses;
-        s.force_reduce();
-        // Tiered reduction keeps core-glue clauses forever, so nothing
-        // may be deletable; the invariant is that reduction+compaction
-        // never change the verdict.
-        assert!(s.stats().deleted_clauses + learnt_before >= s.stats().learnt_clauses);
+        s.reduce_db();
+        assert_eq!(
+            s.stats().deleted_clauses + s.stats().learnt_clauses,
+            learnt_before
+        );
         assert!(s.solve().is_unsat());
 
         // Satisfiable instance across a forced reduction.
         let g = pigeonhole(5, 6);
         let mut s = Solver::from_formula(&g);
-        s.set_conflict_limit(Some(20));
+        s.set_budget(Budget::new().max_conflicts(20));
         let _ = s.solve();
-        s.set_conflict_limit(None);
-        s.force_reduce();
+        s.set_budget(Budget::default());
+        s.reduce_db();
         match s.solve() {
             SatResult::Sat(m) => assert_eq!(g.eval(&m.values()[..g.num_vars()]), Some(true)),
             other => panic!("expected sat, got {other:?}"),
@@ -2067,102 +1466,69 @@ mod tests {
         let mut s = Solver::from_formula(&pigeonhole(4, 3));
         assert!(s.solve().is_unsat());
         assert!(s.stats().binary_propagations > 0);
-        // Glue histogram is populated as clauses are learned.
-        let st = *s.stats();
-        assert!(st.glue_core + st.glue_mid + st.glue_local > 0);
     }
 
     #[test]
-    fn inprocessing_preserves_verdict_and_proof() {
-        let f = pigeonhole(6, 5);
-        let mut s = Solver::from_formula(&f);
-        s.set_inprocess_interval(1);
-        s.start_proof();
-        assert!(s.solve().is_unsat());
-        assert!(s.stats().inprocessing_rounds > 0, "interval 1 must fire");
-        let proof = s.take_proof().expect("recording was on");
-        assert!(proof.proves_unsat());
-        proof
-            .verify_refutation(&f)
-            .expect("proof with inprocessing deletions checks");
-    }
-
-    #[test]
-    fn subsumption_removes_redundant_clauses() {
-        // (x0 ∨ x1) subsumes (x0 ∨ x1 ∨ x2); (¬x0 ∨ x3 ∨ x4) and
-        // (x0 ∨ x3 ∨ x4) self-subsume to (x3 ∨ x4).
+    fn reduce_db_keeps_locked_clauses_and_the_more_active_half() {
         let mut s = Solver::new();
-        s.add_clause([lit(0, true), lit(1, true)]);
-        s.add_clause([lit(0, true), lit(1, true), lit(2, true)]);
-        s.add_clause([lit(0, false), lit(3, true), lit(4, true)]);
-        s.add_clause([lit(0, true), lit(3, true), lit(4, true)]);
-        let before = s.num_clauses();
-        s.force_inprocess();
-        assert!(s.stats().subsumed_clauses >= 1, "superset clause deleted");
-        assert!(
-            s.stats().strengthened_clauses >= 1,
-            "self-subsumption fired"
-        );
-        assert!(s.num_clauses() < before);
-        assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn vivification_shortens_entailed_clauses() {
-        // With (¬x0 ∨ x1) present, the learned-shaped clause
-        // (¬x1 ∨ x2 ∨ x3) ∧ (¬x0 ∨ x2 ∨ x3)... craft directly: probe
-        // of (x0 ∨ x2) under (¬x... keep it simple: x0 → x1 makes
-        // (¬x1 ∨ ¬x0 ∨ x2) vivifiable to (¬x1 ∨ x2)? ¬(¬x1)=x1
-        // assumed, then ¬(¬x0)=x0 assumed propagates x1 — already
-        // true → True-branch shortening needs a *learnt* clause, so
-        // drive a small unsat search with inprocessing instead and
-        // assert the counters moved without changing the verdict.
-        let f = pigeonhole(7, 6);
-        let mut s = Solver::from_formula(&f);
-        s.set_inprocess_interval(1);
-        assert!(s.solve().is_unsat());
-        assert!(s.stats().inprocessing_rounds > 0);
-        // Vivification is opportunistic; what must hold is that the
-        // database shrank or stayed consistent under it.
-        let again = Solver::from_formula(&f).solve();
-        assert!(again.is_unsat());
-    }
-
-    #[test]
-    fn inprocessing_keeps_sat_models_valid() {
-        let g = pigeonhole(6, 7);
-        let mut s = Solver::from_formula(&g);
-        s.set_inprocess_interval(1);
-        match s.solve() {
-            SatResult::Sat(m) => assert_eq!(g.eval(&m.values()[..g.num_vars()]), Some(true)),
-            other => panic!("expected sat, got {other:?}"),
+        s.ensure_var(Var::new(12));
+        // Six unlocked learned clauses with activities 1..=6 ...
+        let unlocked: Vec<Vec<Lit>> = (0..6)
+            .map(|i| vec![lit(i, true), lit(i + 1, true), lit(i + 2, true)])
+            .collect();
+        for (i, lits) in unlocked.iter().enumerate() {
+            let c = s.attach_clause(lits, true);
+            s.arena.set_activity(c, (i + 1) as f32);
         }
-    }
+        // ... and a locked one with the lowest activity of all: once x11
+        // and x12 are decided it is the reason for x10.
+        let mut locked = vec![lit(10, true), lit(11, false), lit(12, false)];
+        let c = s.attach_clause(&locked, true);
+        s.arena.set_activity(c, 0.0);
+        for d in [lit(11, true), lit(12, true)] {
+            s.new_decision_level();
+            s.enqueue(d, ClauseRef::UNDEF);
+            assert!(s.propagate().is_none());
+        }
+        assert_eq!(s.value(lit(10, true)), LBool::True);
 
-    #[test]
-    fn tiered_reduction_reports_tier_sizes() {
-        let f = pigeonhole(5, 4);
-        let mut s = Solver::from_formula(&f);
-        s.set_conflict_limit(Some(200));
-        let _ = s.solve();
-        s.set_conflict_limit(None);
-        s.force_reduce();
-        let st = *s.stats();
-        assert!(
-            st.tier_core_size + st.tier_mid_size + st.tier_local_size > 0 || st.learnt_clauses == 0
-        );
-        assert!(s.solve().is_unsat());
+        s.reduce_db();
+        assert_eq!(s.stats().deleted_clauses, 3);
+        assert_eq!(s.stats().learnt_clauses, 4);
+        let mut live: Vec<Vec<Lit>> = s
+            .arena
+            .refs()
+            .filter(|&c| !s.arena.is_deleted(c))
+            .map(|c| {
+                let mut lits = s.arena.lits_vec(c);
+                lits.sort_unstable();
+                lits
+            })
+            .collect();
+        live.sort_unstable();
+        locked.sort_unstable();
+        let mut expected: Vec<Vec<Lit>> = unlocked[3..].to_vec();
+        expected.push(locked.clone());
+        expected.sort_unstable();
+        assert_eq!(live, expected, "the least-active unlocked half is gone");
+        // The reason pointer was forwarded through compaction.
+        let reason = s.reason[10];
+        assert!(s.is_locked(reason));
+        let mut reason_lits = s.arena.lits_vec(reason);
+        reason_lits.sort_unstable();
+        assert_eq!(reason_lits, locked);
     }
 
     #[test]
     fn proof_survives_reduction_and_compaction() {
-        let f = pigeonhole(5, 4);
+        let f = pigeonhole(6, 5);
         let mut s = Solver::from_formula(&f);
         s.start_proof();
-        s.set_conflict_limit(Some(40));
-        let _ = s.solve();
-        s.set_conflict_limit(None);
-        s.force_reduce();
+        s.set_budget(Budget::new().max_conflicts(40));
+        assert_eq!(s.solve(), SatResult::Interrupted);
+        s.set_budget(Budget::default());
+        s.reduce_db();
+        assert!(s.stats().deleted_clauses > 0, "the run crossed a reduction");
         assert!(s.solve().is_unsat());
         let proof = s.take_proof().expect("recording was on");
         assert!(proof.proves_unsat());

@@ -188,94 +188,6 @@ proptest! {
         oracle.add_formula(&f2);
         prop_assert_eq!(arena.solve().is_sat(), oracle.solve().is_sat());
     }
-
-    /// With inprocessing forced on every restart, verdicts still match
-    /// the reference and models still satisfy the formula — subsumption
-    /// and vivification may only remove redundant clauses.
-    #[test]
-    fn aggressive_inprocessing_matches_reference(f in formula_strategy(8, 4, 28)) {
-        let mut arena = sat::Solver::from_formula(&f);
-        arena.set_inprocess_interval(1);
-        let mut oracle = sat::reference::Solver::from_formula(&f);
-        let a = arena.solve();
-        let o = oracle.solve();
-        prop_assert_eq!(verdict_of(&a), verdict_of(&o));
-        if let SatResult::Sat(m) = &a {
-            prop_assert_eq!(f.eval(&m.values()[..f.num_vars()]), Some(true));
-        }
-    }
-
-    /// With inprocessing forced on every restart *and* proof logging
-    /// on, an unsat answer still yields a refutation that verifies
-    /// against the original formula — i.e. every `Delete` the
-    /// inprocessor records refers to a clause the proof previously
-    /// added (or an original), and every strengthened clause was added
-    /// before the original was deleted.
-    #[test]
-    fn proofs_verify_with_aggressive_inprocessing(f in formula_strategy(6, 3, 22)) {
-        let mut arena = sat::Solver::from_formula(&f);
-        arena.set_inprocess_interval(1);
-        arena.start_proof();
-        if arena.solve().is_unsat() {
-            let proof = arena.take_proof().expect("recording was on");
-            prop_assert!(proof.proves_unsat());
-            proof.verify_refutation(&f).expect("proof checks after inprocessing deletions");
-        }
-    }
-
-    /// Model enumeration through blocking clauses on top of the tiered
-    /// clause database (inprocessing forced on) visits exactly the
-    /// reference model set.
-    #[test]
-    fn model_set_survives_tiering_and_inprocessing(f in formula_strategy(5, 3, 12)) {
-        let n = f.num_vars();
-        prop_assume!(n > 0);
-
-        let mut arena_models = std::collections::BTreeSet::new();
-        let mut arena = sat::Solver::from_formula(&f);
-        arena.set_inprocess_interval(1);
-        while let SatResult::Sat(m) = arena.solve() {
-            let vals: Vec<bool> = (0..n).map(|v| m.value(Var::new(v))).collect();
-            arena.add_clause((0..n).map(|v| Lit::new(Var::new(v), !vals[v])));
-            prop_assert!(arena_models.insert(vals), "arena enumerated a duplicate model");
-            prop_assert!(arena_models.len() <= 1 << n);
-        }
-
-        let mut oracle_models = std::collections::BTreeSet::new();
-        let mut oracle = sat::reference::Solver::from_formula(&f);
-        while let SatResult::Sat(m) = oracle.solve() {
-            let vals: Vec<bool> = (0..n).map(|v| m.value(Var::new(v))).collect();
-            oracle.add_clause((0..n).map(|v| Lit::new(Var::new(v), !vals[v])));
-            prop_assert!(oracle_models.insert(vals), "reference enumerated a duplicate model");
-            prop_assert!(oracle_models.len() <= 1 << n);
-        }
-
-        prop_assert_eq!(arena_models, oracle_models);
-    }
-
-    /// Budget interruption composes with aggressive inprocessing: a
-    /// conflict-budgeted solve either interrupts or answers soundly,
-    /// and lifting the budget converges to the reference verdict.
-    #[test]
-    fn budget_interrupts_recover_with_inprocessing(
-        f in formula_strategy(7, 3, 24),
-        max_conflicts in 0u64..6,
-    ) {
-        let mut arena = sat::Solver::from_formula(&f);
-        arena.set_inprocess_interval(1);
-        arena.set_budget(Budget::new().max_conflicts(max_conflicts));
-        let first = arena.solve();
-        if let SatResult::Sat(m) = &first {
-            prop_assert_eq!(f.eval(&m.values()[..f.num_vars()]), Some(true));
-        }
-        arena.set_budget(Budget::default());
-        let final_verdict = arena.solve();
-        let mut oracle = sat::reference::Solver::from_formula(&f);
-        prop_assert_eq!(final_verdict.is_sat(), oracle.solve().is_sat());
-        if !matches!(first, SatResult::Interrupted) {
-            prop_assert_eq!(first.is_sat(), final_verdict.is_sat());
-        }
-    }
 }
 
 /// Hard structured instances (pigeonhole) where clause-database

@@ -187,15 +187,14 @@ fn worker(lane: usize, state: &AppState, shared: &Shared) {
 }
 
 /// Which worker lane a request is dispatched to. `/verify` requests
-/// are routed by the same content hash the engine's cache shards use,
-/// so a repeat of the same source lands on the worker whose cache
-/// shard owns its entry. Everything else round-robins.
+/// are routed by the same file-name hash the engine's cache shards use
+/// (`CacheShards::shard_of`), so every request for a file — repeat or
+/// edit — lands on the worker whose cache shard owns its entry.
+/// Everything else round-robins.
 fn lane_for(req: &Request, lanes: usize, round_robin: &mut usize) -> usize {
     if req.path == "/verify" {
         let name = req.query_param("file").unwrap_or("request.php");
-        // Mirrors the engine's content key: fold(name, 0, source).
-        let key = hash::fold(hash::fold(hash::fnv1a_64(name.as_bytes()), &[0]), &req.body);
-        return (key % lanes as u64) as usize;
+        return (hash::fnv1a_64(name.as_bytes()) % lanes as u64) as usize;
     }
     *round_robin = (*round_robin + 1) % lanes;
     *round_robin

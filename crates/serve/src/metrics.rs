@@ -478,51 +478,6 @@ impl ServerMetrics {
 
         metric(
             &mut out,
-            "webssari_sat_glue_restarts_total",
-            "counter",
-            "Restarts triggered by the glue EMA rather than the Luby \
-             budget.",
-        );
-        let _ = writeln!(
-            out,
-            "webssari_sat_glue_restarts_total {}",
-            engine.glue_restarts,
-        );
-
-        metric(
-            &mut out,
-            "webssari_sat_glue_tier_total",
-            "counter",
-            "Learned clauses by glue tier at learn time: core (LBD <= 2, \
-             kept forever), mid (LBD 3-6, reduced by activity), local \
-             (LBD > 6, aggressively reduced).",
-        );
-        for (tier, count) in [
-            ("core", engine.glue_core),
-            ("mid", engine.glue_mid),
-            ("local", engine.glue_local),
-        ] {
-            let _ = writeln!(
-                out,
-                "webssari_sat_glue_tier_total{{tier=\"{tier}\"}} {count}",
-            );
-        }
-
-        metric(
-            &mut out,
-            "webssari_sat_inprocessing_removed_total",
-            "counter",
-            "Clauses removed by root-level inprocessing (backward \
-             subsumption, self-subsuming strengthening, vivification).",
-        );
-        let _ = writeln!(
-            out,
-            "webssari_sat_inprocessing_removed_total {}",
-            engine.inprocessing_removed,
-        );
-
-        metric(
-            &mut out,
             "webssari_engine_sql_assertions_total",
             "counter",
             "Assertions checked with SQL query-structure semantics.",
