@@ -1,11 +1,13 @@
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use php_front::{parse_source, resolve_includes, IncludeError, SourceSet};
 use taint_lattice::{Lattice, Powerset, TwoPoint};
 use webssari_ir::{
     abstract_interpret_with, filter_program, filter_program_on_demand, is_store_cell, AiCmd,
-    AssertId, FilterOptions, Prelude, StoreSummary,
+    AssertId, FilterOptions, Prelude, StoreSummary, StoreWrite,
 };
 use xbmc::{CheckOptions, Xbmc};
 
@@ -230,17 +232,24 @@ impl VerifierBuilder {
 ///
 /// The summary is the merge, in file-name order, of every file's store
 /// part ([`Verifier::store_part`]). A cell can be seeded with parts a
-/// caller kept from earlier batches; filling it then computes only the
-/// missing parts, and [`StoreCell::built_parts`] hands those back so the
-/// caller can keep them too.
+/// caller kept from earlier batches. A verify call whose filter never
+/// consulted the cell publishes its file's part from the program it
+/// already built. Filling the cell takes the seeded and published parts
+/// and builds only the missing ones from source, and
+/// [`StoreCell::built_parts`] hands back every part the batch computed
+/// so the caller can keep them too.
 #[derive(Debug, Default)]
 pub struct StoreCell {
     /// Parts supplied up front, by file name. Each must be the part of
     /// that file's *current* program in the batch's source set.
     seeded: BTreeMap<String, Arc<StoreSummary>>,
     summary: OnceLock<StoreSummary>,
-    /// The parts the fill computed, in file-name order.
-    built: OnceLock<Vec<(String, Arc<StoreSummary>)>>,
+    /// The parts the batch computed (published by verify calls or built
+    /// by the fill), by file name; never a seeded file's.
+    computed: Mutex<BTreeMap<String, Arc<StoreSummary>>>,
+    /// How many of `computed` the fill built from source (a statistic,
+    /// read once the batch's verify calls are done).
+    built_from_source: AtomicUsize,
 }
 
 impl StoreCell {
@@ -257,11 +266,71 @@ impl StoreCell {
         self.summary.get()
     }
 
-    /// The parts filling the cell computed (every file it was not
-    /// seeded with), in file-name order; empty while it is unfilled.
-    pub fn built_parts(&self) -> &[(String, Arc<StoreSummary>)] {
-        self.built.get().map_or(&[], Vec::as_slice)
+    /// Every part the batch computed, published or built by the fill,
+    /// in file-name order: once the cell is filled, the parts of every
+    /// file it was not seeded with. Empty while it is unfilled, since a
+    /// batch that never needed the summary has no use for its parts.
+    pub fn built_parts(&self) -> Vec<(String, Arc<StoreSummary>)> {
+        if self.summary.get().is_none() {
+            return Vec::new();
+        }
+        self.computed()
+            .iter()
+            .map(|(name, part)| (name.clone(), Arc::clone(part)))
+            .collect()
     }
+
+    /// How many parts the fill built from source: the files that were
+    /// neither seeded nor published when it reached them. Zero while
+    /// the cell is unfilled.
+    pub fn parts_built_from_source(&self) -> usize {
+        self.built_from_source.load(Ordering::Relaxed)
+    }
+
+    /// Keeps `part` as `name`'s part, unless the cell was seeded with
+    /// it or already holds one: a verify call and the fill can both
+    /// compute the same file's part, and the two are equal.
+    fn publish(&self, name: &str, part: Arc<StoreSummary>) {
+        if self.seeded.contains_key(name) {
+            return;
+        }
+        self.computed().entry(name.to_owned()).or_insert(part);
+    }
+
+    /// The computed parts. Every update is one map insert, so a lock a
+    /// panicking thread poisoned still guards a valid map.
+    fn computed(&self) -> MutexGuard<'_, BTreeMap<String, Arc<StoreSummary>>> {
+        self.computed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `name`'s part, if the cell was seeded with it or it was computed.
+    fn known_part(&self, name: &str) -> Option<Arc<StoreSummary>> {
+        if let Some(part) = self.seeded.get(name) {
+            return Some(Arc::clone(part));
+        }
+        self.computed().get(name).cloned()
+    }
+}
+
+/// The part of every program that writes no store: one allocation
+/// shared by all of them.
+static EMPTY_PART: LazyLock<Arc<StoreSummary>> = LazyLock::new(Arc::default);
+
+/// The store part recorded by `writes`, reading each written variable's
+/// level from the final TS `state`.
+fn part_of(
+    writes: &[StoreWrite],
+    state: &[taint_lattice::Elem],
+    lattice: &impl Lattice,
+) -> Arc<StoreSummary> {
+    if writes.is_empty() {
+        return Arc::clone(&EMPTY_PART);
+    }
+    let mut part = StoreSummary::new();
+    for w in writes {
+        part.record(&w.key, state[w.var.index()], &w.site.to_string(), lattice);
+    }
+    Arc::new(part)
 }
 
 impl From<StoreSummary> for StoreCell {
@@ -330,11 +399,13 @@ impl Verifier {
     /// `SELECT`+fetch, a `$_SESSION` read, a literal-path
     /// `file_get_contents` — fills the cell with the name-order merge of
     /// the store parts ([`Verifier::store_part`]) of *its* sources,
-    /// taking the parts the cell was seeded with and computing the rest;
-    /// every later call reads that value. So all calls through the copy
-    /// must verify files of the same source set: a batch engine hands
-    /// each batch a fresh cell. A cell filled up front is the eager
-    /// summary.
+    /// taking the parts the cell was seeded with or that earlier
+    /// [`Verifier::verify_file`] calls published (each call whose filter
+    /// never consulted the cell publishes its file's part) and building
+    /// the rest; every later call reads that value. So all calls through
+    /// the copy must verify files of the same source set: a batch engine
+    /// hands each batch a fresh cell. A cell filled up front is the
+    /// eager summary.
     ///
     /// Like the solve budget, the summary is *data about the sources*,
     /// not a result-shaping knob, so it is excluded from
@@ -392,17 +463,19 @@ impl Verifier {
         let Some(src) = sources.file(name) else {
             return StoreSummary::new();
         };
-        match &self.policy {
+        let part = match &self.policy {
             Policy::TwoPoint => self.part_with(sources, name, src, &TwoPoint::new()),
             Policy::MultiClass(lattice) => {
                 let lattice = lattice.clone();
                 self.part_with(sources, name, src, &lattice)
             }
-        }
+        };
+        Arc::unwrap_or_clone(part)
     }
 
     /// Merges the parts of `sources` in file-name order, taking the ones
-    /// `cell` was seeded with and recording the ones it computes.
+    /// `cell` was seeded with or that were published to it, and building
+    /// (and recording) the rest.
     fn merge_parts(
         &self,
         cell: &StoreCell,
@@ -410,21 +483,18 @@ impl Verifier {
         lattice: &impl Lattice,
     ) -> StoreSummary {
         let mut summary = StoreSummary::new();
-        let mut built = Vec::new();
         for (name, src) in sources.iter() {
-            let part = match cell.seeded.get(name) {
-                Some(part) => Arc::clone(part),
+            let part = match cell.known_part(name) {
+                Some(part) => part,
                 None => {
-                    let part = Arc::new(self.part_with(sources, name, src, lattice));
-                    built.push((name.to_owned(), Arc::clone(&part)));
+                    let part = self.part_with(sources, name, src, lattice);
+                    cell.built_from_source.fetch_add(1, Ordering::Relaxed);
+                    cell.publish(name, Arc::clone(&part));
                     part
                 }
             };
             summary.merge(&part, lattice);
         }
-        // This runs only as `cell.summary`'s one initializer, so `built`
-        // is unset here.
-        let _ = cell.built.set(built);
         summary
     }
 
@@ -434,7 +504,7 @@ impl Verifier {
         name: &str,
         src: &str,
         lattice: &impl Lattice,
-    ) -> StoreSummary {
+    ) -> Arc<StoreSummary> {
         let program = match resolve_includes(sources, name) {
             Ok(p) => p,
             Err(
@@ -443,18 +513,14 @@ impl Verifier {
                 | IncludeError::IncludeCycle(_),
             ) => match parse_source(src) {
                 Ok(p) => p,
-                Err(_) => return StoreSummary::new(),
+                Err(_) => return Arc::clone(&EMPTY_PART),
             },
-            Err(_) => return StoreSummary::new(),
+            Err(_) => return Arc::clone(&EMPTY_PART),
         };
         let f = filter_program(&program, src, name, &self.prelude, &self.filter_options);
         let ai = abstract_interpret_with(&f, lattice, self.loop_unroll);
-        let state = typestate::final_state(&ai, lattice);
-        let mut part = StoreSummary::new();
-        for w in &f.store_writes {
-            part.record(&w.key, state[w.var.index()], &w.site.to_string(), lattice);
-        }
-        part
+        let (_, state) = typestate::analyze_with_state(&ai, lattice);
+        part_of(&f.store_writes, &state, lattice)
     }
 
     /// A deterministic, canonical text describing everything that
@@ -506,7 +572,7 @@ impl Verifier {
         set.add_file(file, src);
         let own = StoreCell::default();
         let stores = || self.force_stores(&own, &set);
-        Ok(self.verify_parsed(&program, src, file, &stores))
+        Ok(self.verify_parsed(&program, src, file, &stores, None))
     }
 
     /// Verifies one file of a project, resolving its includes from the
@@ -517,15 +583,12 @@ impl Verifier {
     /// Returns [`VerifyError`] on parse or include failures (dynamic
     /// include paths fall back to analyzing the file alone).
     pub fn verify_file(&self, sources: &SourceSet, entry: &str) -> Result<FileReport, VerifyError> {
-        let src = sources
-            .file(entry)
-            .ok_or_else(|| {
-                VerifyError::Include(IncludeError::MissingFile {
-                    name: entry.to_owned(),
-                    included_from: None,
-                })
-            })?
-            .to_owned();
+        let src = sources.file(entry).ok_or_else(|| {
+            VerifyError::Include(IncludeError::MissingFile {
+                name: entry.to_owned(),
+                included_from: None,
+            })
+        })?;
         let program = match resolve_includes(sources, entry) {
             Ok(p) => p,
             // Unresolvable includes (dynamic paths, files outside the
@@ -536,12 +599,15 @@ impl Verifier {
                 IncludeError::DynamicIncludePath { .. }
                 | IncludeError::MissingFile { .. }
                 | IncludeError::IncludeCycle(_),
-            ) => parse_source(&src)?,
+            ) => parse_source(src)?,
             Err(e) => return Err(e.into()),
         };
         let own = StoreCell::default();
         let stores = || self.force_stores(&own, sources);
-        Ok(self.verify_parsed(&program, &src, entry, &stores))
+        // The batch cell takes this file's store part if its filter
+        // never consults the cell (see `verify_with_lattice`).
+        let publish = self.store_cell.as_deref();
+        Ok(self.verify_parsed(&program, src, entry, &stores, publish))
     }
 
     /// Verifies every file of a project as an entry point.
@@ -573,14 +639,15 @@ impl Verifier {
         src: &str,
         file: &str,
         stores: &dyn Fn() -> &'s StoreSummary,
+        publish: Option<&StoreCell>,
     ) -> FileReport {
         match &self.policy {
             Policy::TwoPoint => {
-                self.verify_with_lattice(program, src, file, stores, &TwoPoint::new())
+                self.verify_with_lattice(program, src, file, stores, publish, &TwoPoint::new())
             }
             Policy::MultiClass(lattice) => {
                 let lattice = lattice.clone();
-                self.verify_with_lattice(program, src, file, stores, &lattice)
+                self.verify_with_lattice(program, src, file, stores, publish, &lattice)
             }
         }
     }
@@ -591,19 +658,32 @@ impl Verifier {
         src: &str,
         file: &str,
         stores: &dyn Fn() -> &'s StoreSummary,
+        publish: Option<&StoreCell>,
         lattice: &impl Lattice,
     ) -> FileReport {
+        let consulted = Cell::new(false);
         let f = filter_program_on_demand(
             program,
             src,
             file,
             &self.prelude,
             &self.filter_options,
-            stores,
+            &|| {
+                consulted.set(true);
+                stores()
+            },
             lattice,
         );
         let ai = abstract_interpret_with(&f, lattice, self.loop_unroll);
-        let ts = typestate::analyze(&ai, lattice);
+        let (ts, state) = typestate::analyze_with_state(&ai, lattice);
+        // Pass 1 from pass 2: a filter that never consulted the store
+        // summary lowered exactly what `part_with`'s `filter_program`
+        // lowers, so this AI yields the file's store part. A file that
+        // consulted it must not publish: its write levels can depend on
+        // the store levels it read, and a part is built against none.
+        if let Some(cell) = publish.filter(|_| !consulted.get()) {
+            cell.publish(file, part_of(&f.store_writes, &state, lattice));
+        }
         let mut check_options = self.check_options.clone();
         if let Some(budget) = self.solve_budget.start() {
             // The wall-clock allowance starts now, per file.

@@ -1,15 +1,16 @@
 //! Exactness of the per-file store parts: pass 1's summary, built as
 //! the file-name-order merge of [`Verifier::store_part`]s, equals the
 //! original sequential fold over the whole source set (kept below as
-//! the oracle), and a cell seeded with any subset of precomputed parts
-//! fills to that same summary, computing exactly the missing parts.
+//! the oracle). A cell seeded with any subset of precomputed parts, or
+//! handed parts that verifying files published, fills to that same
+//! summary, computing exactly the missing parts.
 
 use std::sync::Arc;
 
 use php_front::{parse_source, resolve_includes, IncludeError, SourceSet};
 use proptest::prelude::*;
 use taint_lattice::{Lattice, TwoPoint};
-use webssari_core::{StoreCell, StoreSummary, Verifier, VerifierBuilder};
+use webssari_core::{ProjectReport, StoreCell, StoreSummary, Verifier, VerifierBuilder};
 use webssari_ir::{abstract_interpret_with, filter_program, FilterOptions, Prelude};
 
 #[path = "../../ir/tests/support/store_php.rs"]
@@ -166,24 +167,137 @@ proptest! {
             })));
             let project = verifier.with_store_cell(Arc::clone(&cell)).verify_project(&set);
             prop_assert_eq!(cell.get(), Some(&expected));
-            let built: Vec<&str> = cell.built_parts().iter().map(|(n, _)| n.as_str()).collect();
+            let parts = cell.built_parts();
+            let built: Vec<&str> = parts.iter().map(|(n, _)| n.as_str()).collect();
             let missing: Vec<&str> =
                 names.iter().copied().filter(|n| !seeded.contains(n)).collect();
             prop_assert_eq!(built, missing);
-            for (name, part) in cell.built_parts() {
+            for (name, part) in &parts {
                 prop_assert_eq!(&**part, &verifier.store_part(&set, name));
             }
-
-            let eager = verifier
-                .with_store_cell(Arc::new(StoreCell::from(expected)))
-                .verify_project(&set);
-            let render = |p: &webssari_core::ProjectReport| -> String {
-                p.files.iter().map(|f| f.render_text()).collect()
-            };
-            prop_assert_eq!(render(&project), render(&eager));
-            prop_assert_eq!(&project.failed_files, &eager.failed_files);
+            check_eager_reports(&verifier, &set, expected, &project)?;
         }
     }
+
+    /// Verifying any subset of files before the cell is forced
+    /// publishes the parts of the files that did not force it, and the
+    /// fill builds exactly the rest: every part the cell then holds
+    /// equals [`Verifier::store_part`], the summary is the sequential
+    /// fold, and the project reports equal those under the eager
+    /// summary.
+    #[test]
+    fn published_parts_fill_to_the_same_summary(
+        files in prop::collection::vec(file_spec(), 0..5),
+        mask in any::<u64>(),
+    ) {
+        let set = source_set(&files);
+        for (verifier, expected) in policies() {
+            let expected = expected(&verifier, &set);
+            let names: Vec<&str> = set.iter().map(|(name, _)| name).collect();
+            let cell: Arc<StoreCell> = Arc::default();
+            let batch = verifier.with_store_cell(Arc::clone(&cell));
+            let mut published = Vec::new();
+            for (i, name) in names.iter().enumerate() {
+                if mask >> i & 1 == 0 {
+                    continue;
+                }
+                let verified = batch.verify_file(&set, name).is_ok();
+                if cell.get().is_some() {
+                    break; // `name` forced the cell
+                }
+                if verified {
+                    published.push(*name);
+                }
+            }
+            if cell.get().is_none() {
+                prop_assert!(cell.built_parts().is_empty());
+                prop_assert_eq!(cell.parts_built_from_source(), 0);
+                // `verify_project` below publishes the parts of the
+                // files it verifies before the first one that forces
+                // the cell.
+                for name in &names {
+                    let (forces, verifies) = verify_alone(&verifier, &set, name);
+                    if forces {
+                        break;
+                    }
+                    if verifies && !published.contains(name) {
+                        published.push(name);
+                    }
+                }
+            }
+
+            let project = batch.verify_project(&set);
+            prop_assert_eq!(cell.get(), Some(&expected));
+            prop_assert_eq!(cell.parts_built_from_source(), names.len() - published.len());
+            let parts = cell.built_parts();
+            let built: Vec<&str> = parts.iter().map(|(n, _)| n.as_str()).collect();
+            prop_assert_eq!(&built, &names);
+            for (name, part) in &parts {
+                prop_assert_eq!(&**part, &verifier.store_part(&set, name));
+            }
+            check_eager_reports(&verifier, &set, expected, &project)?;
+        }
+    }
+}
+
+/// Whether verifying `name` in a batch of its own forces the batch's
+/// cell, and whether it verifies.
+fn verify_alone(verifier: &Verifier, set: &SourceSet, name: &str) -> (bool, bool) {
+    let cell: Arc<StoreCell> = Arc::default();
+    let verifies = verifier
+        .with_store_cell(Arc::clone(&cell))
+        .verify_file(set, name)
+        .is_ok();
+    (cell.get().is_some(), verifies)
+}
+
+/// `project`'s reports equal those `verify_project` renders with the
+/// `expected` summary built up front.
+fn check_eager_reports(
+    verifier: &Verifier,
+    set: &SourceSet,
+    expected: StoreSummary,
+    project: &ProjectReport,
+) -> Result<(), String> {
+    let eager = verifier
+        .with_store_cell(Arc::new(StoreCell::from(expected)))
+        .verify_project(set);
+    let render =
+        |p: &ProjectReport| -> String { p.files.iter().map(|f| f.render_text()).collect() };
+    prop_assert_eq!(render(project), render(&eager));
+    prop_assert_eq!(&project.failed_files, &eager.failed_files);
+    Ok(())
+}
+
+/// A file that writes what it read from a store: under the filled
+/// summary its write is clean, while its part, built against an empty
+/// summary, records it at `⊤`. So pass 2 must not publish it, even
+/// when the cell was filled up front.
+#[test]
+fn a_file_that_reads_a_store_never_publishes_its_part() {
+    let mut set = SourceSet::new();
+    set.add_file(
+        "clean.php",
+        "<?php $v = htmlspecialchars($_POST['v']); \
+         mysql_query(\"INSERT INTO msgs (c) VALUES ('$v')\");",
+    );
+    set.add_file(
+        "relay.php",
+        "<?php $h = mysql_query('SELECT c FROM msgs'); $r = mysql_fetch_array($h); \
+         $_SESSION['r'] = $r;",
+    );
+    let verifier = Verifier::new();
+    let summary = verifier.compute_store_summary(&set);
+    assert!(!verifier.store_part(&set, "relay.php").is_empty());
+
+    let cell = Arc::new(StoreCell::from(summary));
+    verifier
+        .with_store_cell(Arc::clone(&cell))
+        .verify_project(&set);
+    let parts = cell.built_parts();
+    let names: Vec<&str> = parts.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["clean.php"]);
+    assert_eq!(*parts[0].1, verifier.store_part(&set, "clean.php"));
 }
 
 /// The generators reach every case the merge must handle: a site

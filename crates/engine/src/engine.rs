@@ -8,8 +8,7 @@ use std::time::{Duration, Instant};
 
 use php_front::SourceSet;
 use webssari_core::{
-    FileOutcome, FileReport, FileSummary, SolveBudget, StoreCell, StoreSummary, Verifier,
-    VerifyError,
+    FileOutcome, FileReport, FileSummary, SolveBudget, StoreCell, Verifier, VerifyError,
 };
 
 use crate::cache::{CacheCaps, CacheShards};
@@ -351,8 +350,11 @@ impl Engine {
         // so whichever worker builds it, every report is the same; a
         // batch with no store-reading miss never builds it. The cell is
         // seeded with the store parts the hit entries hold (a part is
-        // a function of the file's content key), so filling it computes
-        // only the parts of misses and of hits that hold none.
+        // a function of the file's content key), and every miss whose
+        // filter does not read a store publishes its part as it
+        // finishes, so filling it builds from source only the parts of
+        // the store readers, of misses not yet verified, and of hits
+        // that hold none.
         let cell = Arc::new(StoreCell::seeded(parts));
         let verifier = match budget {
             Some(b) => self.verifier.with_solve_budget(b),
@@ -415,7 +417,7 @@ impl Engine {
             });
         }
 
-        let report = self.assemble(started, names, slots, cell.built_parts(), cache, stats);
+        let report = self.assemble(started, names, slots, &cell, cache, stats);
         stats.batch_completed();
         report
     }
@@ -449,24 +451,25 @@ impl Engine {
         stats.batch_started();
         stats.record_cache_hit(&summary);
         let slots = vec![Some(Slot::Hit(summary))];
-        let report = self.assemble(started, names, slots, &[], cache, stats);
+        let report = self.assemble(started, names, slots, &StoreCell::default(), cache, stats);
         stats.batch_completed();
         Some(report)
     }
 
     /// Folds filled slots into the final report and updates the
     /// in-memory cache (persistence is the caller's decision): misses
-    /// are inserted, and the store parts the batch `built` (in
-    /// file-name order) are kept beside their files' entries.
+    /// are inserted, and the store parts the batch's `cell` computed are
+    /// kept beside their files' entries.
     fn assemble(
         &self,
         started: Instant,
         names: Vec<(String, u64)>,
         slots: Vec<Option<Slot>>,
-        built: &[(String, Arc<StoreSummary>)],
+        cell: &StoreCell,
         cache: &CacheShards,
         stats: &EngineStats,
     ) -> EngineReport {
+        let built = cell.built_parts();
         let mut report = EngineReport::default();
         let mut file_metrics = Vec::with_capacity(names.len());
         let mut hits = 0usize;
@@ -567,7 +570,7 @@ impl Engine {
             wall_time: started.elapsed(),
             cache_hits: hits,
             cache_misses: misses,
-            store_parts_built: built.len(),
+            store_parts_built: cell.parts_built_from_source(),
             files: file_metrics,
         };
         report

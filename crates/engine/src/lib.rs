@@ -14,7 +14,8 @@
 //!   The batch's cross-request store summary is built on demand, by the
 //!   first job whose file reads a store, from per-file store parts the
 //!   cache keeps in memory beside its entries — only files whose
-//!   content key changed have their part recomputed.
+//!   content key changed have their part recomputed, and a job whose
+//!   file reads no store publishes its part from its own verification.
 //! * **Incremental cache** ([`Cache`]) — results keyed by content hash
 //!   and a configuration fingerprint
 //!   ([`webssari_core::Verifier::config_description`]); persisted as

@@ -56,8 +56,10 @@ pub struct EngineMetrics {
     /// Files that had to be verified.
     pub cache_misses: usize,
     /// Store parts (per-file contributions to the batch's cross-request
-    /// store summary) computed because no cache entry held them; zero
-    /// when no verified file read a store.
+    /// store summary) that pass 1 built from source: those no cache
+    /// entry held and no verified file published (a file whose filter
+    /// reads no store publishes its part from its own verification).
+    /// Zero when no verified file read a store.
     pub store_parts_built: usize,
     /// Per-file measurements, in file-name order.
     pub files: Vec<FileMetrics>,
@@ -197,6 +199,10 @@ impl EngineMetrics {
             ("wall_time_us", Value::Num(as_micros(self.wall_time))),
             ("cache_hits", Value::Num(self.cache_hits as u64)),
             ("cache_misses", Value::Num(self.cache_misses as u64)),
+            (
+                "store_parts_built",
+                Value::Num(self.store_parts_built as u64),
+            ),
             ("total_conflicts", Value::Num(self.total_conflicts())),
             ("total_sat_calls", Value::Num(self.total_sat_calls() as u64)),
             (
@@ -239,7 +245,7 @@ mod tests {
             wall_time: Duration::from_millis(12),
             cache_hits: 1,
             cache_misses: 1,
-            store_parts_built: 0,
+            store_parts_built: 3,
             files: vec![
                 FileMetrics {
                     file: "a.php".to_owned(),
@@ -308,6 +314,7 @@ mod tests {
         let v = json::parse(&m.to_json()).expect("valid JSON");
         assert_eq!(v.get("workers").and_then(Value::as_u64), Some(4));
         assert_eq!(v.get("cache_hits").and_then(Value::as_u64), Some(1));
+        assert_eq!(v.get("store_parts_built").and_then(Value::as_u64), Some(3));
         let files = v.get("files").and_then(Value::as_arr).unwrap();
         assert_eq!(files.len(), 2);
         assert_eq!(files[0].get("worker"), Some(&Value::Null));

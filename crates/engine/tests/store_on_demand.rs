@@ -109,6 +109,31 @@ fn assert_matches_cold(report: &EngineReport, set: &SourceSet, context: &str) {
     }
 }
 
+/// Asserts a batch's `store_parts_built`: the parts pass 1 built from
+/// source, which are those of the files that read a store, of hits that
+/// held none and of misses verified after the fill. At one worker the
+/// file order fixes that count at `sequential`. With more, a worker can
+/// publish a part before or after the fill reaches it, so the count
+/// only lies between `forced` (the readers and the hits without a
+/// part) and `ceiling`.
+fn assert_parts_built(
+    report: &EngineReport,
+    workers: usize,
+    sequential: usize,
+    forced: usize,
+    ceiling: usize,
+) {
+    let built = report.metrics.store_parts_built;
+    if workers == 1 {
+        assert_eq!(built, sequential);
+    } else {
+        assert!(
+            (forced..=ceiling).contains(&built),
+            "workers {workers}: {built} parts built, expected {forced}..={ceiling}"
+        );
+    }
+}
+
 fn misses(report: &EngineReport) -> Vec<&str> {
     report
         .files
@@ -119,19 +144,19 @@ fn misses(report: &EngineReport) -> Vec<&str> {
 }
 
 /// A comment edit to a data file re-keys it and every file whose key
-/// folds in the whole set; a warm handle rebuilds the store parts of
-/// exactly those files and reuses the rest.
+/// folds in the whole set; a warm handle recomputes the store parts of
+/// exactly those files and reuses the rest. Pass 1 builds from source
+/// only the parts pass 2 did not publish.
 #[test]
 fn a_comment_edit_rebuilds_only_the_rekeyed_parts() {
     for workers in [1, 2] {
         let handle = EngineBuilder::new().workers(workers).build().into_handle();
         let set = reader_project();
         let cold = handle.run(&set);
-        assert_eq!(
-            cold.metrics.store_parts_built,
-            set.len(),
-            "workers {workers}"
-        );
+        // One worker: `data.php` and `plain.php` publish, and
+        // `reader.php` fills the cell with its own part and those of
+        // the two files after it.
+        assert_parts_built(&cold, workers, 3, 1, set.len());
         assert_eq!(handle.cache().store_parts(), set.len());
 
         let warm = handle.run(&set);
@@ -148,7 +173,9 @@ fn a_comment_edit_rebuilds_only_the_rekeyed_parts() {
             ["data.php", "reader.php", "session.php"],
             "workers {workers}"
         );
-        assert_eq!(report.metrics.store_parts_built, 3, "workers {workers}");
+        // `data.php` publishes; `reader.php` builds its own part and
+        // the one of `session.php`.
+        assert_parts_built(&report, workers, 2, 1, 3);
         // Every entry holds a part (a shard may still hold a re-keyed
         // file's entry of the first batch, part and all).
         assert_eq!(handle.cache().store_parts(), handle.cached_files());
@@ -190,7 +217,7 @@ fn store_parts_never_outnumber_live_entries() {
 
 /// Parts never reach the cache file: every entry keeps exactly the
 /// persisted fields, a handle that reloads the file holds no parts and
-/// writes it back byte for byte, and its first forced batch builds
+/// writes it back byte for byte, and its first forced batch computes
 /// every part again.
 #[test]
 fn parts_stay_out_of_the_cache_file() {
@@ -241,11 +268,10 @@ fn parts_stay_out_of_the_cache_file() {
         );
         let report = reloaded.run(&set);
         assert_eq!(misses(&report), ["data.php", "reader.php", "session.php"]);
-        assert_eq!(
-            report.metrics.store_parts_built,
-            set.len(),
-            "workers {workers}"
-        );
+        // Only `data.php` publishes; the hits `plain.php` and
+        // `writer.php` hold no part after the reload, so the fill
+        // builds them with `reader.php`'s and `session.php`'s.
+        assert_parts_built(&report, workers, 4, 3, set.len());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -88,23 +88,26 @@ impl TsResult {
 /// Branches merge by joining the per-variable states of both sides,
 /// which is the classic may-taint over-approximation.
 pub fn analyze(ai: &AiProgram, lattice: &impl Lattice) -> TsResult {
+    analyze_with_state(ai, lattice).0
+}
+
+/// Runs the TS join-walk and returns only the final per-variable state
+/// vector (indexed by [`VarId::index`]): the merged safety level that
+/// reaches each variable at end of program, which the store-summary
+/// pass reads for store-write variables.
+pub fn final_state(ai: &AiProgram, lattice: &impl Lattice) -> Vec<Elem> {
+    analyze_with_state(ai, lattice).1
+}
+
+/// [`analyze`] and [`final_state`] from one walk: the TS result and
+/// the final per-variable state vector. Verification uses both, so a
+/// file whose store writes it records costs no second walk.
+pub fn analyze_with_state(ai: &AiProgram, lattice: &impl Lattice) -> (TsResult, Vec<Elem>) {
     let mut state: Vec<Elem> = vec![lattice.bottom(); ai.vars.len()];
     let mut result = TsResult::default();
     walk(&ai.cmds, lattice, &mut state, &mut result);
     result.checked_assertions = ai.num_assertions();
-    result
-}
-
-/// Runs the TS join-walk and returns the final per-variable state
-/// vector (indexed by [`VarId::index`]) instead of recording errors.
-///
-/// Used by the store-summary pass to read the merged safety level that
-/// reaches each store-write variable at end of program.
-pub fn final_state(ai: &AiProgram, lattice: &impl Lattice) -> Vec<Elem> {
-    let mut state: Vec<Elem> = vec![lattice.bottom(); ai.vars.len()];
-    let mut result = TsResult::default();
-    walk(&ai.cmds, lattice, &mut state, &mut result);
-    state
+    (result, state)
 }
 
 fn walk(cmds: &[AiCmd], lattice: &impl Lattice, state: &mut Vec<Elem>, result: &mut TsResult) {
@@ -224,6 +227,23 @@ mod tests {
         let ai = ai_of("<?php $x = $_GET['q']; $x = 'clean'; echo $x;");
         let r = analyze(&ai, &TwoPoint::new());
         assert!(r.is_safe());
+    }
+
+    #[test]
+    fn one_walk_yields_errors_and_final_state() {
+        // A join on `$x` (tainted on one branch), a kill on `$y`.
+        let ai = ai_of(
+            "<?php if ($c) { $x = $_GET['q']; } else { $x = 'ok'; } echo $x; \
+             $y = $_GET['p']; $y = 'clean'; $z = $x;",
+        );
+        let lattice = TwoPoint::new();
+        let (result, state) = analyze_with_state(&ai, &lattice);
+        assert_eq!(result, analyze_worklist(&ai, &lattice));
+        assert_eq!(result.errors.len(), 1);
+        let level = |name: &str| state[ai.vars.lookup(name).expect(name).index()];
+        assert_eq!(level("x"), lattice.top());
+        assert_eq!(level("z"), lattice.top());
+        assert_eq!(level("y"), lattice.bottom());
     }
 
     #[test]
