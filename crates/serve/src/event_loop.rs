@@ -46,7 +46,7 @@ use crate::http::{try_parse, Limits, Request, Response};
 use crate::metrics::route_label;
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::queue::PushError;
-use crate::router::{route, try_verify_cached};
+use crate::router::{route, try_verify_cached, DEFAULT_VERIFY_FILE};
 use crate::{AppState, QueuedRequest};
 
 /// How long a peer gets to stop sending after its final response.
@@ -193,7 +193,7 @@ fn worker(lane: usize, state: &AppState, shared: &Shared) {
 /// Everything else round-robins.
 fn lane_for(req: &Request, lanes: usize, round_robin: &mut usize) -> usize {
     if req.path == "/verify" {
-        let name = req.query_param("file").unwrap_or("request.php");
+        let name = req.query_param("file").unwrap_or(DEFAULT_VERIFY_FILE);
         return (hash::fnv1a_64(name.as_bytes()) % lanes as u64) as usize;
     }
     *round_robin = (*round_robin + 1) % lanes;

@@ -11,12 +11,9 @@
 //! buffer and either yields a complete request plus the number of
 //! bytes it consumed, asks for more bytes, or fails terminally. The
 //! event loop feeds it from nonblocking reads (bytes can arrive
-//! fragmented at any boundary); the blocking [`read_request`] used by
-//! the legacy threaded server is a thin pull loop over the same
-//! parser, so both paths accept exactly the same language.
+//! fragmented at any boundary).
 
 use std::fmt;
-use std::io::{self, Read, Write};
 
 /// Hard caps applied while reading one request.
 #[derive(Clone, Copy, Debug)]
@@ -94,14 +91,10 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. Each variant maps onto an HTTP
+/// Why a byte stream cannot form a request. Each variant maps onto an HTTP
 /// status via [`RequestError::status`].
 #[derive(Debug)]
 pub enum RequestError {
-    /// Transport failure (including timeouts) while reading.
-    Io(io::Error),
-    /// The connection closed before a full request arrived.
-    Truncated,
     /// The request line is not `METHOD SP TARGET SP HTTP/1.x`.
     BadRequestLine,
     /// A header line is malformed.
@@ -123,7 +116,6 @@ impl RequestError {
     /// The HTTP status this error should be answered with.
     pub fn status(&self) -> u16 {
         match self {
-            RequestError::Io(_) | RequestError::Truncated => 400,
             RequestError::BadRequestLine | RequestError::BadHeader => 400,
             RequestError::HeadTooLarge => 431,
             RequestError::LengthRequired => 411,
@@ -137,8 +129,6 @@ impl RequestError {
 impl fmt::Display for RequestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RequestError::Io(e) => write!(f, "i/o error: {e}"),
-            RequestError::Truncated => write!(f, "connection closed mid-request"),
             RequestError::BadRequestLine => write!(f, "malformed request line"),
             RequestError::BadHeader => write!(f, "malformed header"),
             RequestError::HeadTooLarge => write!(f, "request head too large"),
@@ -236,32 +226,6 @@ pub fn try_parse(buf: &[u8], limits: &Limits) -> Result<Option<(Request, usize)>
     Ok(Some((request, consumed)))
 }
 
-/// Reads and parses one request from `stream` under `limits` — the
-/// blocking pull loop over [`try_parse`] the legacy threaded server
-/// uses. Bytes past the first complete request (pipelined extras) are
-/// read but ignored, matching that server's one-request-per-connection
-/// contract.
-///
-/// # Errors
-///
-/// Returns a [`RequestError`] describing the first violation; the
-/// caller should answer with [`RequestError::status`] and close the
-/// connection.
-pub fn read_request(stream: &mut impl Read, limits: &Limits) -> Result<Request, RequestError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some((request, _consumed)) = try_parse(&buf, limits)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk).map_err(RequestError::Io)?;
-        if n == 0 {
-            return Err(RequestError::Truncated);
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// Byte offset of the `\r\n\r\n` head terminator, if present.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
@@ -350,8 +314,8 @@ fn percent_decode(s: &str) -> Option<String> {
 pub struct Response {
     /// Status code.
     pub status: u16,
-    /// Extra headers (`Content-Length`, `Connection: close`, and the
-    /// status line are added by [`Response::write_to`]).
+    /// Extra headers (`Content-Length`, `Connection`, and the status
+    /// line are added by [`Response::serialize`]).
     pub headers: Vec<(String, String)>,
     /// Response body.
     pub body: Vec<u8>,
@@ -443,30 +407,23 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serializes the response with `Connection: close` — the legacy
-    /// threaded server's one-response-per-connection wire format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.serialize(false))?;
-        w.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(bytes: &[u8]) -> Result<Request, RequestError> {
-        read_request(&mut io::Cursor::new(bytes.to_vec()), &Limits::default())
+    /// Parses one request under the default limits; incomplete input
+    /// is `Ok(None)`.
+    fn parse(bytes: &[u8]) -> Result<Option<Request>, RequestError> {
+        try_parse(bytes, &Limits::default()).map(|parsed| parsed.map(|(req, _)| req))
     }
 
     #[test]
     fn parses_get_with_query() {
-        let req = parse(b"GET /verify?file=a%20b.php&x=1 HTTP/1.1\r\nHost: h\r\n\r\n").unwrap();
+        let req = parse(b"GET /verify?file=a%20b.php&x=1 HTTP/1.1\r\nHost: h\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/verify");
         assert_eq!(req.query_param("file"), Some("a b.php"));
@@ -477,7 +434,9 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let req = parse(b"POST /verify HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello").unwrap();
+        let req = parse(b"POST /verify HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.body, b"hello");
     }
 
@@ -493,8 +452,8 @@ mod tests {
             max_body_bytes: 4,
             ..Limits::default()
         };
-        let err = read_request(
-            &mut io::Cursor::new(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello".to_vec()),
+        let err = try_parse(
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
             &limits,
         )
         .unwrap_err();
@@ -509,15 +468,14 @@ mod tests {
     }
 
     #[test]
-    fn truncated_requests_error_cleanly() {
+    fn truncated_requests_ask_for_more() {
         for raw in [
             &b"GET / HTTP/1.1\r\nHost:"[..],
             b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nshort",
             b"",
             b"GET",
         ] {
-            let err = parse(raw).unwrap_err();
-            assert!(matches!(err, RequestError::Truncated), "{raw:?}: {err}");
+            assert!(parse(raw).unwrap().is_none(), "{raw:?}");
         }
     }
 
@@ -545,9 +503,7 @@ mod tests {
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        Response::text(200, "ok").write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(Response::text(200, "ok").serialize(false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
@@ -620,11 +576,9 @@ mod tests {
 
     #[test]
     fn retry_after_header_round_trips() {
-        let mut out = Vec::new();
-        Response::error(429, "queue full")
+        let out = Response::error(429, "queue full")
             .header("Retry-After", "1")
-            .write_to(&mut out)
-            .unwrap();
+            .serialize(false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("429 Too Many Requests"));
         assert!(text.contains("Retry-After: 1\r\n"));

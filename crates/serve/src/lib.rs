@@ -16,15 +16,13 @@
 //! * `GET /healthz` — liveness.
 //! * `GET /metrics` — Prometheus text exposition.
 //!
-//! ## Serving modes
+//! ## Serving core
 //!
-//! The default [`ServeMode::EventLoop`] (unix only) multiplexes every
-//! connection on one `poll(2)`-driven thread: HTTP/1.1 keep-alive with
-//! pipelining, per-connection read/idle deadlines, and per-shard
-//! dispatch queues feeding a worker pool. The legacy
-//! [`ServeMode::Threaded`] mode — one connection per pop of a bounded
-//! queue, one request per connection — remains as a baseline and as
-//! the non-unix fallback.
+//! One `poll(2)`-driven event-loop thread (unix only) multiplexes
+//! every connection: HTTP/1.1 keep-alive with pipelining,
+//! per-connection read/idle deadlines, and per-shard dispatch queues
+//! feeding a worker pool. Off unix, [`Server::start`] fails with
+//! [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Robustness
 //!
@@ -59,45 +57,22 @@ mod router;
 mod server;
 mod signals;
 
-pub use http::{read_request, try_parse, Limits, Request, RequestError, Response};
+pub use http::{try_parse, Limits, Request, RequestError, Response};
 pub use metrics::{route_label, ServerMetrics, LATENCY_BUCKETS, ROUTES};
 pub use queue::{BoundedQueue, PushError};
 pub use router::route;
 pub use server::{Server, ServerHandle};
 pub use signals::{install as install_signal_handlers, request_shutdown, shutdown_requested};
 
-/// Which connection-handling core the daemon runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One `poll(2)`-driven event-loop thread owning every socket;
-    /// keep-alive, pipelining, deadlines, per-shard dispatch. Unix
-    /// only (falls back to [`ServeMode::Threaded`] elsewhere).
-    EventLoop,
-    /// The legacy thread-pool core: blocking sockets popped off one
-    /// bounded queue, one request per connection.
-    Threaded,
-}
-
-impl ServeMode {
-    /// The best mode this platform supports.
-    pub fn default_for_platform() -> Self {
-        if cfg!(unix) {
-            ServeMode::EventLoop
-        } else {
-            ServeMode::Threaded
-        }
-    }
-}
-
 /// How the daemon listens and protects itself.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8077` (`:0` picks a free port).
     pub addr: String,
-    /// Concurrent HTTP worker threads (dispatch shards in event mode).
+    /// Concurrent HTTP worker threads, one per dispatch shard.
     pub http_workers: usize,
-    /// Bounded dispatch-queue depth; beyond it requests are shed with
-    /// `429`. In event mode the depth is split across worker shards.
+    /// Bounded dispatch-queue depth, split across the worker shards;
+    /// beyond it requests are shed with `429`.
     pub queue_depth: usize,
     /// Default per-request solve deadline; `None` means unlimited.
     /// Clients may lower (never raise) it per request via the
@@ -105,13 +80,11 @@ pub struct ServerConfig {
     pub request_budget: Option<Duration>,
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,
-    /// Connection-handling core to run.
-    pub mode: ServeMode,
-    /// Event mode: how long a started request may dribble in before
-    /// the connection is answered `408` (slowloris defense).
+    /// How long a started request may dribble in before the
+    /// connection is answered `408` (slowloris defense).
     pub read_timeout: Duration,
-    /// Event mode: how long an idle keep-alive connection is kept
-    /// before being closed.
+    /// How long an idle keep-alive connection is kept before being
+    /// closed.
     pub idle_timeout: Duration,
 }
 
@@ -123,7 +96,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             request_budget: Some(Duration::from_secs(30)),
             max_body_bytes: 1024 * 1024,
-            mode: ServeMode::default_for_platform(),
             read_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
         }
@@ -136,16 +108,6 @@ impl ServerConfig {
         Limits {
             max_body_bytes: self.max_body_bytes,
             ..Limits::default()
-        }
-    }
-
-    /// The mode actually run on this platform (event loop degrades to
-    /// threaded off unix).
-    pub fn effective_mode(&self) -> ServeMode {
-        if cfg!(unix) {
-            self.mode
-        } else {
-            ServeMode::Threaded
         }
     }
 }
@@ -170,11 +132,7 @@ pub struct AppState {
     pub engine: EngineHandle,
     /// HTTP-side counters for `/metrics`.
     pub metrics: ServerMetrics,
-    /// Threaded mode: the bounded accept queue (its depth is exported
-    /// as a gauge). Unused (capacity 1, empty) in event mode.
-    pub queue: BoundedQueue<std::net::TcpStream>,
-    /// Event mode: one bounded request queue per worker shard.
-    /// Empty in threaded mode.
+    /// One bounded request queue per worker shard.
     pub shard_queues: Vec<BoundedQueue<QueuedRequest>>,
     /// The server configuration.
     pub config: ServerConfig,
@@ -185,27 +143,18 @@ impl AppState {
     /// into a long-lived handle (cache loaded once, here).
     pub fn new(config: ServerConfig, engine: Engine) -> Self {
         let workers = config.http_workers.max(1);
-        let (accept_depth, shard_queues) = match config.effective_mode() {
-            ServeMode::Threaded => (config.queue_depth, Vec::new()),
-            ServeMode::EventLoop => {
-                let per_shard = (config.queue_depth / workers).max(1);
-                (
-                    1,
-                    (0..workers).map(|_| BoundedQueue::new(per_shard)).collect(),
-                )
-            }
-        };
+        let per_shard = (config.queue_depth / workers).max(1);
+        let shard_queues = (0..workers).map(|_| BoundedQueue::new(per_shard)).collect();
         AppState {
             engine: engine.into_handle(),
             metrics: ServerMetrics::new(),
-            queue: BoundedQueue::new(accept_depth),
             shard_queues,
             config,
         }
     }
 
-    /// Current depth of each dispatch shard (event mode; empty in
-    /// threaded mode). Exported per shard on `/metrics`.
+    /// Current depth of each dispatch shard, exported per shard on
+    /// `/metrics`.
     pub fn shard_depths(&self) -> Vec<usize> {
         self.shard_queues.iter().map(BoundedQueue::len).collect()
     }

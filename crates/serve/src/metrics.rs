@@ -3,7 +3,7 @@
 //! [`ServerMetrics`] tracks the HTTP side (connections, per-route
 //! request counts and latencies, load-shed rejections);
 //! [`render_prometheus`](ServerMetrics::render_prometheus) merges them
-//! with the engine's live [`EngineSnapshot`] and the queue gauges into
+//! with the engine's live [`EngineSnapshot`] and the shard-queue gauges into
 //! Prometheus text exposition format 0.0.4 for `GET /metrics`.
 
 use std::collections::BTreeMap;
@@ -65,9 +65,9 @@ pub struct ServerMetrics {
     connections_total: AtomicU64,
     rejected_total: AtomicU64,
     in_flight: AtomicU64,
-    /// Event mode: currently open connections (set by the event loop).
+    /// Currently open connections (set by the event loop).
     connections_open: AtomicU64,
-    /// Event mode: open connections idle between keep-alive requests.
+    /// Open connections idle between keep-alive requests.
     connections_idle: AtomicU64,
     /// `(route, status) -> count`.
     requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
@@ -95,7 +95,8 @@ impl ServerMetrics {
         self.connections_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a connection shed with `429` because the queue was full.
+    /// Counts a request shed with `429` because its shard queue was
+    /// full.
     pub fn record_rejected(&self) {
         self.rejected_total.fetch_add(1, Ordering::Relaxed);
     }
@@ -105,7 +106,7 @@ impl ServerMetrics {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Event mode: publishes the connection-set gauges (open sockets
+    /// Publishes the connection-set gauges (open sockets
     /// and how many of them sit idle between keep-alive requests).
     pub fn set_connection_gauges(&self, open: u64, idle: u64) {
         self.connections_open.store(open, Ordering::Relaxed);
@@ -141,15 +142,8 @@ impl ServerMetrics {
     }
 
     /// Renders everything as Prometheus text exposition format 0.0.4.
-    /// `shard_depths` is one entry per event-mode dispatch shard
-    /// (empty in threaded mode).
-    pub fn render_prometheus(
-        &self,
-        engine: &EngineSnapshot,
-        queue_depth: usize,
-        queue_capacity: usize,
-        shard_depths: &[usize],
-    ) -> String {
+    /// `shard_depths` is one entry per dispatch shard.
+    pub fn render_prometheus(&self, engine: &EngineSnapshot, shard_depths: &[usize]) -> String {
         fn metric(out: &mut String, name: &str, kind: &str, help: &str) {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
@@ -279,20 +273,6 @@ impl ServerMetrics {
             self.connections_idle.load(Ordering::Relaxed),
         );
 
-        metric(
-            &mut out,
-            "webssari_queue_depth",
-            "gauge",
-            "Connections waiting for a worker.",
-        );
-        let _ = writeln!(out, "webssari_queue_depth {queue_depth}");
-        metric(
-            &mut out,
-            "webssari_queue_capacity",
-            "gauge",
-            "Bounded queue capacity; beyond it requests are shed.",
-        );
-        let _ = writeln!(out, "webssari_queue_capacity {queue_capacity}");
         metric(
             &mut out,
             "webssari_queue_rejected_total",
@@ -530,7 +510,7 @@ mod tests {
         m.record("/verify", 400, Duration::from_millis(1));
         m.record_rejected();
         m.set_connection_gauges(5, 3);
-        let text = m.render_prometheus(&EngineSnapshot::default(), 2, 8, &[1, 0]);
+        let text = m.render_prometheus(&EngineSnapshot::default(), &[1, 0]);
         assert!(text.contains("webssari_http_connections_total 1"));
         assert!(text.contains("webssari_http_requests_total{path=\"/verify\",status=\"200\"} 1"));
         assert!(text.contains("webssari_http_requests_total{path=\"/verify\",status=\"400\"} 1"));
@@ -538,8 +518,6 @@ mod tests {
         assert!(text.contains("webssari_http_requests_in_flight 0"));
         assert!(text.contains("webssari_http_connections_open 5"));
         assert!(text.contains("webssari_http_connections_idle 3"));
-        assert!(text.contains("webssari_queue_depth 2"));
-        assert!(text.contains("webssari_queue_capacity 8"));
         assert!(text.contains("webssari_queue_rejected_total 1"));
         assert!(text.contains("webssari_shard_queue_depth{shard=\"0\"} 1"));
         assert!(text.contains("webssari_shard_queue_depth{shard=\"1\"} 0"));
@@ -555,7 +533,7 @@ mod tests {
         m.record("/verify", 200, Duration::from_millis(40)); // <= 0.05
         m.request_started();
         m.record("/verify", 200, Duration::from_secs(60)); // +Inf only
-        let text = m.render_prometheus(&EngineSnapshot::default(), 0, 1, &[]);
+        let text = m.render_prometheus(&EngineSnapshot::default(), &[]);
         let counts: Vec<u64> = text
             .lines()
             .filter(|l| {
@@ -601,7 +579,7 @@ mod tests {
             second_order_flows_found: 2,
             ..EngineSnapshot::default()
         };
-        let text = m.render_prometheus(&snap, 0, 4, &[]);
+        let text = m.render_prometheus(&snap, &[]);
         assert!(text.contains("webssari_engine_cache_hits_total 3"));
         assert!(text.contains("webssari_engine_cache_evictions_total 2"));
         assert!(text.contains("webssari_engine_cache_hit_ratio 0.75"));

@@ -1,8 +1,8 @@
 //! A bounded MPMC work queue with load shedding.
 //!
-//! The accept loop pushes connections with [`BoundedQueue::try_push`];
-//! when the queue is at capacity the push fails *immediately* and the
-//! caller sheds load (HTTP 429 + `Retry-After`) instead of letting an
+//! The event loop pushes parsed requests with
+//! [`BoundedQueue::try_push`]; when the queue is at capacity the push
+//! fails *immediately* and the caller sheds load (HTTP 429 + `Retry-After`) instead of letting an
 //! unbounded backlog build. Workers block on [`BoundedQueue::pop`],
 //! which drains remaining items after [`BoundedQueue::close`] and only
 //! then returns `None` — exactly the graceful-shutdown order the
@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 
-/// A fixed-capacity FIFO shared between the accept loop and workers.
+/// A fixed-capacity FIFO shared between the event loop and workers.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     state: Mutex<State<T>>,
@@ -26,7 +26,7 @@ struct State<T> {
 }
 
 /// Why [`BoundedQueue::try_push`] rejected an item; the item is handed
-/// back so the caller can answer the connection before dropping it.
+/// back to the caller.
 #[derive(Debug)]
 pub enum PushError<T> {
     /// The queue is at capacity: shed load.
@@ -46,11 +46,6 @@ impl<T> BoundedQueue<T> {
             ready: Condvar::new(),
             capacity: capacity.max(1),
         }
-    }
-
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of items currently queued.

@@ -14,6 +14,10 @@ use crate::http::{Request, Response};
 use crate::metrics::route_label;
 use crate::AppState;
 
+/// The file name a `/verify` request without `?file=` is verified
+/// (and cached, and dispatched) under.
+pub(crate) const DEFAULT_VERIFY_FILE: &str = "request.php";
+
 /// Dispatches one request. Returns the route label (for metrics) and
 /// the response.
 pub fn route(state: &AppState, req: &Request) -> (&'static str, Response) {
@@ -52,12 +56,9 @@ fn healthz(state: &AppState) -> Response {
 
 fn metrics(state: &AppState) -> Response {
     let snapshot = state.engine.snapshot();
-    let text = state.metrics.render_prometheus(
-        &snapshot,
-        state.queue.len(),
-        state.queue.capacity(),
-        &state.shard_depths(),
-    );
+    let text = state
+        .metrics
+        .render_prometheus(&snapshot, &state.shard_depths());
     Response::new(200)
         .header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
         .with_body(text.into_bytes())
@@ -70,7 +71,10 @@ fn verify(state: &AppState, req: &Request) -> Response {
     if source.trim().is_empty() {
         return Response::error(400, "empty body; POST the PHP source to verify");
     }
-    let file = req.query_param("file").unwrap_or("request.php").to_owned();
+    let file = req
+        .query_param("file")
+        .unwrap_or(DEFAULT_VERIFY_FILE)
+        .to_owned();
     let budget = match effective_budget(state, req) {
         Ok(b) => b,
         Err(resp) => return *resp,
@@ -120,7 +124,10 @@ pub(crate) fn try_verify_cached(state: &AppState, req: &Request) -> Option<Respo
     if effective_budget(state, req).is_err() {
         return None;
     }
-    let file = req.query_param("file").unwrap_or("request.php").to_owned();
+    let file = req
+        .query_param("file")
+        .unwrap_or(DEFAULT_VERIFY_FILE)
+        .to_owned();
     let mut set = SourceSet::new();
     set.add_file(file, source);
     let report = state.engine.try_run_cached(&set)?;
@@ -413,7 +420,7 @@ mysql_query($query);
         assert!(text.contains("webssari_engine_cache_misses_total 1"));
         assert!(text.contains("webssari_engine_files_total{outcome=\"vulnerable\"} 1"));
         assert!(text.contains("webssari_engine_cache_evictions_total 0"));
-        // Event mode: one depth gauge per dispatch shard.
+        // One depth gauge per dispatch shard.
         for shard in 0..state.shard_queues.len() {
             assert!(text.contains(&format!(
                 "webssari_shard_queue_depth{{shard=\"{shard}\"}} 0"

@@ -1,85 +1,49 @@
-//! The listener front end: starts whichever serving core the config
-//! picks and owns graceful shutdown.
+//! The listener front end: binds the socket, starts the event loop,
+//! and owns graceful shutdown.
 //!
-//! [`ServeMode::EventLoop`] (the unix default) hands the listener to
+//! [`Server::start`] hands the listener to
 //! [`event_loop`](crate::event_loop): one `poll(2)`-driven thread owns
 //! every socket — the listener is part of the poll set, so there is no
 //! sleep-polling anywhere — and per-shard worker threads run the
-//! router. Keep-alive, pipelining, and per-connection deadlines live
-//! there.
+//! router. Keep-alive, pipelining, per-connection deadlines and load
+//! shedding live there.
 //!
-//! [`ServeMode::Threaded`] is the legacy core kept as a measured
-//! baseline (and the non-unix fallback): one thread accepts and pushes
-//! blocking sockets onto the bounded queue; when the queue is full the
-//! connection is answered `429` + `Retry-After` right there and closed
-//! — load is shed at the door, before any parsing. `http_workers`
-//! threads pop connections and serve one request each
-//! (`Connection: close`; this mode trades keep-alive for strictly
-//! bounded state per connection).
-//!
-//! [`ServerHandle::shutdown`] flips the stop flag (and, in event mode,
-//! writes a wake byte so a sleeping poll notices immediately): new
-//! connects are refused at the OS level, idle keep-alive connections
-//! close, in-flight requests finish, and finally the warm cache is
-//! flushed to disk.
-//!
-//! [`ServeMode::EventLoop`]: crate::ServeMode::EventLoop
-//! [`ServeMode::Threaded`]: crate::ServeMode::Threaded
+//! [`ServerHandle::shutdown`] flips the stop flag and writes a wake
+//! byte so a sleeping poll notices immediately: new connects are
+//! refused at the OS level, idle keep-alive connections close,
+//! in-flight requests finish, and finally the warm cache is flushed to
+//! disk.
 
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use webssari_engine::Engine;
 
-use crate::http::{read_request, Response};
-use crate::queue::PushError;
-use crate::router::route;
-use crate::{AppState, ServeMode, ServerConfig};
-
-/// Threaded mode: how long the accept loop waits for a connection
-/// before re-checking the stop flag.
-const ACCEPT_WAIT: Duration = Duration::from_millis(100);
-/// Per-connection socket timeouts (threaded mode): a peer that stalls
-/// mid-request (or stops reading the response) cannot pin a worker
-/// forever.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::{AppState, ServerConfig};
 
 /// Builds and starts daemon instances.
 pub struct Server;
 
 impl Server {
-    /// Binds `config.addr` and starts the configured serving core.
-    /// Returns once the socket is listening; serving continues on
-    /// background threads until [`ServerHandle::shutdown`].
+    /// Binds `config.addr` and starts the event loop. Returns once the
+    /// socket is listening; serving continues on background threads
+    /// until [`ServerHandle::shutdown`].
     ///
     /// # Errors
     ///
     /// Propagates bind/configuration failures.
+    #[cfg(unix)]
     pub fn start(config: ServerConfig, engine: Engine) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(AppState::new(config, engine));
         let stop = Arc::new(AtomicBool::new(false));
-
-        let (threads, wake) = match state.config.effective_mode() {
-            #[cfg(unix)]
-            ServeMode::EventLoop => {
-                let (threads, wake) =
-                    crate::event_loop::spawn(listener, Arc::clone(&state), Arc::clone(&stop))?;
-                (threads, Some(wake))
-            }
-            #[cfg(not(unix))]
-            ServeMode::EventLoop => unreachable!("effective_mode degrades off unix"),
-            ServeMode::Threaded => {
-                let threads = start_threaded(listener, &state, &stop)?;
-                (threads, None)
-            }
-        };
+        let (threads, wake) =
+            crate::event_loop::spawn(listener, Arc::clone(&state), Arc::clone(&stop))?;
         Ok(ServerHandle {
             addr,
             state,
@@ -88,128 +52,20 @@ impl Server {
             wake,
         })
     }
-}
 
-/// Spawns the legacy worker pool + accept thread.
-fn start_threaded(
-    listener: TcpListener,
-    state: &Arc<AppState>,
-    stop: &Arc<AtomicBool>,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    listener.set_nonblocking(true)?;
-    let mut threads = Vec::new();
-    for i in 0..state.config.http_workers.max(1) {
-        let state = Arc::clone(state);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || {
-                    while let Some(stream) = state.queue.pop() {
-                        handle_connection(&state, stream);
-                    }
-                })?,
-        );
-    }
-    {
-        let state = Arc::clone(state);
-        let stop = Arc::clone(stop);
-        threads.push(
-            std::thread::Builder::new()
-                .name("serve-accept".to_owned())
-                .spawn(move || accept_loop(listener, &state, &stop))?,
-        );
-    }
-    Ok(threads)
-}
-
-/// Threaded mode: waits for the listener to become readable (a pending
-/// connection) or the timeout to pass. On unix this parks in `poll(2)`
-/// — no sleep loop; elsewhere it degrades to a plain sleep.
-fn wait_for_accept(listener: &TcpListener) {
-    #[cfg(unix)]
-    {
-        use std::os::unix::io::AsRawFd;
-
-        use crate::poll::{poll_fds, PollFd, POLLIN};
-
-        let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN)];
-        let _ = poll_fds(&mut fds, Some(ACCEPT_WAIT));
-    }
+    /// The event loop is built on `poll(2)`; there is no other
+    /// transport.
+    ///
+    /// # Errors
+    ///
+    /// Always [`io::ErrorKind::Unsupported`].
     #[cfg(not(unix))]
-    let _ = listener;
-    #[cfg(not(unix))]
-    std::thread::sleep(ACCEPT_WAIT);
-}
-
-fn accept_loop(listener: TcpListener, state: &AppState, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                state.metrics.record_connection();
-                // The listener is non-blocking; accepted streams must
-                // not inherit that.
-                let _ = stream.set_nonblocking(false);
-                match state.queue.try_push(stream) {
-                    Ok(()) => {}
-                    Err(PushError::Full(stream)) | Err(PushError::Closed(stream)) => {
-                        shed(state, stream);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait_for_accept(&listener),
-            Err(_) => wait_for_accept(&listener),
-        }
+    pub fn start(_config: ServerConfig, _engine: Engine) -> io::Result<ServerHandle> {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "webssari serve needs a unix target",
+        ))
     }
-    // Dropping the listener here closes the socket: new connects are
-    // refused while workers drain the queue.
-    drop(listener);
-    state.queue.close();
-}
-
-/// Answers a connection the queue cannot hold: `429`, `Retry-After`,
-/// close. Written from the accept thread, so the write timeout is
-/// short — a slow peer must not stall accepting.
-fn shed(state: &AppState, mut stream: TcpStream) {
-    state.metrics.record_rejected();
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = Response::error(429, "request queue is full; retry shortly")
-        .header("Retry-After", "1")
-        .write_to(&mut stream);
-    finish(stream);
-}
-
-/// Closes a connection without destroying the response in flight:
-/// closing while unread request bytes are pending makes the kernel
-/// send RST, which discards our response at the client. Signal EOF
-/// first, then absorb (bounded) whatever the client was still sending.
-fn finish(mut stream: TcpStream) {
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf = [0u8; 4096];
-    // Drain at most 256 KiB; past that, cut the peer off.
-    for _ in 0..64 {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-/// Serves one request on one connection, recording metrics either way.
-fn handle_connection(state: &AppState, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    state.metrics.request_started();
-    let started = Instant::now();
-    let (label, response) = match read_request(&mut stream, &state.config.limits()) {
-        Ok(request) => route(state, &request),
-        Err(err) => ("other", Response::error(err.status(), err.to_string())),
-    };
-    state
-        .metrics
-        .record(label, response.status, started.elapsed());
-    let _ = response.write_to(&mut stream);
-    finish(stream);
 }
 
 /// A running daemon. Dropping the handle without calling
@@ -221,8 +77,8 @@ pub struct ServerHandle {
     state: Arc<AppState>,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    /// Event mode: wake writer to interrupt a sleeping poll.
-    wake: Option<TcpStream>,
+    /// Wake writer: interrupts a sleeping poll.
+    wake: TcpStream,
 }
 
 impl ServerHandle {
@@ -248,9 +104,7 @@ impl ServerHandle {
     /// fail).
     pub fn shutdown(self) -> io::Result<Option<PathBuf>> {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(wake) = &self.wake {
-            let _ = (&*wake).write(&[1u8]);
-        }
+        let _ = (&self.wake).write(&[1u8]);
         for t in self.threads {
             let _ = t.join();
         }

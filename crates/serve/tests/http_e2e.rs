@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use jsonio::Value;
 use webssari_engine::EngineBuilder;
-use webssari_serve::{ServeMode, Server, ServerConfig, ServerHandle};
+use webssari_serve::{Server, ServerConfig, ServerHandle};
 
 /// The README's vulnerable quickstart snippet.
 const SQLI: &str = r#"<?php
@@ -59,19 +59,18 @@ fn post(addr: SocketAddr, path: &str, extra_headers: &str, body: &str) -> String
 }
 
 /// Reads exactly one framed HTTP response off a persistent connection
-/// (head to `\r\n\r\n`, then `Content-Length` body bytes).
+/// (head to `\r\n\r\n`, then `Content-Length` body bytes). The head
+/// is read a byte at a time so that no byte of the next pipelined
+/// response is consumed and lost, however the responses coalesce.
 fn read_framed(stream: &mut TcpStream) -> String {
     let mut bytes = Vec::new();
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(i) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-            break i + 4;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
+    let mut byte = [0u8; 1];
+    while !bytes.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
         assert!(n > 0, "EOF before response head finished");
-        bytes.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&bytes[..head_end]).to_string();
+        bytes.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&bytes).to_string();
     let content_length: usize = head
         .lines()
         .find_map(|l| {
@@ -80,12 +79,10 @@ fn read_framed(stream: &mut TcpStream) -> String {
                 .then(|| value.trim().parse().ok())?
         })
         .expect("response has a Content-Length");
-    while bytes.len() < head_end + content_length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "EOF mid-body");
-        bytes.extend_from_slice(&chunk[..n]);
-    }
-    String::from_utf8_lossy(&bytes[..head_end + content_length]).to_string()
+    let mut body = vec![0u8; content_length];
+    stream.read_exact(&mut body).expect("EOF mid-body");
+    bytes.extend_from_slice(&body);
+    String::from_utf8_lossy(&bytes).to_string()
 }
 
 fn status_of(response: &str) -> u16 {
@@ -281,37 +278,67 @@ fn exhausted_budget_returns_well_formed_timeout_json() {
     server.shutdown().expect("graceful shutdown");
 }
 
+/// A `/batch` body holding one branch-heavy vulnerable page: a cache
+/// miss whose solver work keeps a worker busy for a while (~0.5 s in a
+/// debug build, ~0.1 s in release).
+fn slow_batch() -> String {
+    let mut page = String::from("<?php\n$q = 'SELECT * FROM t WHERE a=';\n");
+    for i in 0..12 {
+        page.push_str(&format!(
+            "if ($_GET['c{i}']) {{ $q = $q . $_GET['v{i}']; }} else {{ $q = $q . 'k{i}'; }}\n"
+        ));
+    }
+    page.push_str("mysql_query($q);\necho $q;\n");
+    format!(
+        "{{\"files\": [{{\"name\": \"slow.php\", \"source\": {}}}]}}",
+        Value::str(page).to_json(),
+    )
+}
+
 #[test]
 fn full_queue_sheds_with_429_and_retry_after() {
-    // The legacy threaded core: idle connections pin its workers, so
-    // two of them are enough to fill the depth-1 queue.
+    // One worker, one queue slot: a long cold batch pins the worker, a
+    // second request fills the slot, and a third must be shed.
     let server = start(ServerConfig {
         http_workers: 1,
         queue_depth: 1,
-        mode: ServeMode::Threaded,
         ..ServerConfig::default()
     });
     let addr = server.local_addr();
+    let state = std::sync::Arc::clone(server.state());
+    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+        let begin = std::time::Instant::now();
+        while !done() {
+            assert!(begin.elapsed() < Duration::from_secs(20), "never {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
 
-    // Two idle connections: one parks the single worker mid-read, the
-    // other fills the depth-1 queue.
-    let idle1 = TcpStream::connect(addr).expect("connect idle");
-    std::thread::sleep(Duration::from_millis(150));
-    let idle2 = TcpStream::connect(addr).expect("connect idle");
-    std::thread::sleep(Duration::from_millis(100));
+    let batch = slow_batch();
+    let pinned = std::thread::spawn(move || post(addr, "/batch", "", &batch));
+    wait_for("started the batch", &|| {
+        state.engine.snapshot().jobs_in_flight > 0
+    });
+    let queued = std::thread::spawn(move || get(addr, "/healthz"));
+    wait_for("queued the second request", &|| {
+        state.shard_queues[0].len() == 1
+    });
 
     let shed = get(addr, "/healthz");
     assert_eq!(status_of(&shed), 429, "response: {shed:?}");
-    assert!(shed.contains("Retry-After: 1\r\n"));
+    assert!(shed.contains("Retry-After: 1\r\n"), "response: {shed:?}");
 
-    // Closing the idle connections frees the worker; service resumes.
-    drop(idle1);
-    drop(idle2);
-    std::thread::sleep(Duration::from_millis(100));
+    // The pinned and the queued request both complete; service resumes.
+    let pinned = pinned.join().expect("batch client");
+    assert_eq!(status_of(&pinned), 200, "response: {pinned:?}");
+    let summary = json_of(&pinned);
+    let summary = summary.get("summary").unwrap();
+    assert_eq!(summary.get("cache_misses").and_then(Value::as_u64), Some(1));
+    assert_eq!(status_of(&queued.join().expect("queued client")), 200);
     assert_eq!(status_of(&get(addr, "/healthz")), 200);
 
     let metrics = get(addr, "/metrics");
-    assert!(metrics.contains("webssari_queue_rejected_total 1"));
+    assert!(metrics.contains("webssari_queue_rejected_total 1\n"));
     server.shutdown().expect("graceful shutdown");
 }
 
@@ -604,29 +631,4 @@ fn latency_histogram_buckets_are_monotone_end_to_end() {
     }
     assert_eq!(paths_seen, 2);
     server.shutdown().expect("graceful shutdown");
-}
-
-#[test]
-fn warm_responses_are_identical_across_serve_modes() {
-    // The event loop answers warm `/verify` hits inline; the threaded
-    // mode goes through the worker path. Same request, same bytes.
-    let mut bodies = Vec::new();
-    for mode in [ServeMode::Threaded, ServeMode::default_for_platform()] {
-        let server = start(ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        });
-        let addr = server.local_addr();
-        let cold = post(addr, "/verify?file=same.php", "", SQLI);
-        assert_eq!(status_of(&cold), 200);
-        let warm = post(addr, "/verify?file=same.php", "", SQLI);
-        assert_eq!(status_of(&warm), 200);
-        let v = json_of(&warm);
-        assert_eq!(v.get("from_cache"), Some(&Value::Bool(true)));
-        let body = body_of(&warm);
-        let cut = body.rfind(",\"wall_ms\"").expect("wall_ms field");
-        bodies.push(body[..cut].to_owned());
-        server.shutdown().expect("graceful shutdown");
-    }
-    assert_eq!(bodies[0], bodies[1]);
 }

@@ -57,7 +57,6 @@ USAGE:
                     [--queue-depth N] [--request-budget-ms MS]
                     [--cache-max-entries N] [--cache-max-mb N]
                     [--read-timeout-ms MS] [--idle-timeout-ms MS]
-                    [--threaded]
 
 COMMANDS:
     verify   Check every .php file; print grouped reports with
@@ -116,8 +115,9 @@ DAEMON (serve):
                            workers (default 2).
     --cache-dir DIR        Persist the incremental cache here; loaded at
                            startup, flushed on graceful shutdown.
-    --queue-depth N        Bounded accept queue; beyond it connections
-                           are shed with 429 + Retry-After (default 64).
+    --queue-depth N        Bounded dispatch queue, split across the
+                           workers; beyond it requests are shed with
+                           429 + Retry-After (default 64).
     --request-budget-ms MS Per-request solve deadline — exceeding it
                            yields a JSON \"timeout\" outcome, never a hung
                            connection (default 30000; 0 = unlimited).
@@ -129,11 +129,9 @@ DAEMON (serve):
                            in MiB (default: unlimited).
     --read-timeout-ms MS   Close connections that dribble a partial
                            request for this long without completing it
-                           (default 10000; event loop only).
+                           (default 10000).
     --idle-timeout-ms MS   Close idle keep-alive connections after this
-                           long (default 30000; event loop only).
-    --threaded             Use the legacy thread-per-connection core
-                           instead of the keep-alive event loop.";
+                           long (default 30000).";
 
 struct CommonOptions {
     paths: Vec<PathBuf>,
@@ -749,7 +747,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 }
                 _ => return fail("--idle-timeout-ms needs milliseconds"),
             },
-            "--threaded" => config.mode = webssari::serve::ServeMode::Threaded,
             other => return fail(&format!("unknown serve option {other:?}")),
         }
     }

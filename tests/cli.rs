@@ -377,6 +377,22 @@ fn serve_daemon_answers_http_and_exits_cleanly_on_sigterm() {
 }
 
 #[test]
+fn serve_has_one_transport_and_rejects_threaded() {
+    // The trailing bad `--jobs 0` makes a build that still accepted the
+    // retired flag fail fast on the wrong message instead of serving.
+    let out = webssari()
+        .args(["serve", "--threaded", "--jobs", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown serve option \"--threaded\""),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn engine_flags_reject_unsupported_combinations() {
     let dir = scratch(&[("index.php", VULN)]);
     let out = webssari()
