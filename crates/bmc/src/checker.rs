@@ -129,6 +129,59 @@ pub struct XbmcStats {
 }
 
 impl XbmcStats {
+    /// Adds `other`'s counters into these, field by field. This is the
+    /// one place that sums whole records (per-file metrics, batch
+    /// totals, the engine's live counters); the destructuring makes a
+    /// new field a compile error here until it is summed too.
+    pub fn add(&mut self, other: &XbmcStats) {
+        let XbmcStats {
+            cnf_vars,
+            cnf_clauses,
+            sat_calls,
+            truncated_assertions,
+            conflicts,
+            decisions,
+            propagations,
+            binary_propagations,
+            restarts,
+            certify_provers,
+            pre_units_fixed,
+            pre_clauses_removed,
+            assertions_discharged,
+            cnf_vars_saved,
+            cubes_learned,
+            cube_assignments,
+            sql_assertions_checked,
+            second_order_flows_found,
+            flow_discharged,
+            ssa_phis,
+            summaries_computed,
+            contexts_cloned,
+        } = *other;
+        self.cnf_vars += cnf_vars;
+        self.cnf_clauses += cnf_clauses;
+        self.sat_calls += sat_calls;
+        self.truncated_assertions += truncated_assertions;
+        self.conflicts += conflicts;
+        self.decisions += decisions;
+        self.propagations += propagations;
+        self.binary_propagations += binary_propagations;
+        self.restarts += restarts;
+        self.certify_provers += certify_provers;
+        self.pre_units_fixed += pre_units_fixed;
+        self.pre_clauses_removed += pre_clauses_removed;
+        self.assertions_discharged += assertions_discharged;
+        self.cnf_vars_saved += cnf_vars_saved;
+        self.cubes_learned += cubes_learned;
+        self.cube_assignments += cube_assignments;
+        self.sql_assertions_checked += sql_assertions_checked;
+        self.second_order_flows_found += second_order_flows_found;
+        self.flow_discharged += flow_discharged;
+        self.ssa_phis += ssa_phis;
+        self.summaries_computed += summaries_computed;
+        self.contexts_cloned += contexts_cloned;
+    }
+
     /// Folds one solver's work counters into this check's totals.
     fn absorb(&mut self, s: &sat::SolverStats) {
         self.conflicts += s.conflicts;
@@ -719,6 +772,84 @@ mod tests {
         assert_eq!(cx.trace.len(), 3); // _GET init, $a, $b
         assert_eq!(cx.violating_vars.len(), 1);
         assert_eq!(ai.vars.name(cx.violating_vars[0]), "b");
+    }
+
+    #[test]
+    fn add_sums_every_field() {
+        // Distinct values per field, so a swapped or missing line in
+        // `add` shows as a wrong sum.
+        let a = XbmcStats {
+            cnf_vars: 1,
+            cnf_clauses: 2,
+            sat_calls: 3,
+            truncated_assertions: 4,
+            conflicts: 5,
+            decisions: 6,
+            propagations: 7,
+            binary_propagations: 8,
+            restarts: 9,
+            certify_provers: 10,
+            pre_units_fixed: 11,
+            pre_clauses_removed: 12,
+            assertions_discharged: 13,
+            cnf_vars_saved: 14,
+            cubes_learned: 15,
+            cube_assignments: 16,
+            sql_assertions_checked: 17,
+            second_order_flows_found: 18,
+            flow_discharged: 19,
+            ssa_phis: 20,
+            summaries_computed: 21,
+            contexts_cloned: 22,
+        };
+        let b = XbmcStats {
+            cnf_vars: 100,
+            cnf_clauses: 101,
+            sat_calls: 102,
+            truncated_assertions: 103,
+            conflicts: 104,
+            decisions: 105,
+            propagations: 106,
+            binary_propagations: 107,
+            restarts: 108,
+            certify_provers: 109,
+            pre_units_fixed: 110,
+            pre_clauses_removed: 111,
+            assertions_discharged: 112,
+            cnf_vars_saved: 113,
+            cubes_learned: 114,
+            cube_assignments: 115,
+            sql_assertions_checked: 116,
+            second_order_flows_found: 117,
+            flow_discharged: 118,
+            ssa_phis: 119,
+            summaries_computed: 120,
+            contexts_cloned: 121,
+        };
+        let mut sum = a;
+        sum.add(&b);
+        assert_eq!(sum.cnf_vars, 101);
+        assert_eq!(sum.cnf_clauses, 103);
+        assert_eq!(sum.sat_calls, 105);
+        assert_eq!(sum.truncated_assertions, 107);
+        assert_eq!(sum.conflicts, 109);
+        assert_eq!(sum.decisions, 111);
+        assert_eq!(sum.propagations, 113);
+        assert_eq!(sum.binary_propagations, 115);
+        assert_eq!(sum.restarts, 117);
+        assert_eq!(sum.certify_provers, 119);
+        assert_eq!(sum.pre_units_fixed, 121);
+        assert_eq!(sum.pre_clauses_removed, 123);
+        assert_eq!(sum.assertions_discharged, 125);
+        assert_eq!(sum.cnf_vars_saved, 127);
+        assert_eq!(sum.cubes_learned, 129);
+        assert_eq!(sum.cube_assignments, 131);
+        assert_eq!(sum.sql_assertions_checked, 133);
+        assert_eq!(sum.second_order_flows_found, 135);
+        assert_eq!(sum.flow_discharged, 137);
+        assert_eq!(sum.ssa_phis, 139);
+        assert_eq!(sum.summaries_computed, 141);
+        assert_eq!(sum.contexts_cloned, 143);
     }
 }
 

@@ -22,7 +22,7 @@
 //! and inserts refresh recency, so a steadily re-verified hot set
 //! survives cold scans. Eviction only ever costs future speed: an
 //! evicted file is simply re-verified on its next appearance. Because
-//! [`Cache::save`] serializes the *live* in-memory entries, a flush
+//! [`CacheShards::save`] serializes the *live* in-memory entries, a flush
 //! after eviction compacts the on-disk file for free — dropped entries
 //! are never rewritten.
 //!
@@ -157,63 +157,6 @@ impl Cache {
         }
     }
 
-    /// Loads the cache from `dir`, returning an empty cache when the
-    /// file is missing, unreadable, corrupt, or was written under a
-    /// different configuration fingerprint or format version.
-    pub fn load(dir: &Path, fingerprint: &str) -> Self {
-        Cache::load_with_caps(dir, fingerprint, CacheCaps::unlimited())
-    }
-
-    /// Like [`Cache::load`], with eviction caps applied immediately —
-    /// a persisted cache larger than the caps is trimmed on load (in
-    /// file-name order, since on-disk recency is not persisted).
-    pub fn load_with_caps(dir: &Path, fingerprint: &str, caps: CacheCaps) -> Self {
-        let mut cache = Cache::empty_with_caps(fingerprint.to_owned(), caps);
-        let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)) else {
-            return cache;
-        };
-        cache.absorb_json(&text);
-        cache
-    }
-
-    /// Folds a serialized cache document into this cache (used by both
-    /// plain loads and shard partitioning). Entries under a different
-    /// fingerprint or format version are ignored wholesale.
-    fn absorb_json(&mut self, text: &str) {
-        let Some(root) = parse(text) else {
-            return;
-        };
-        if root.get("version").and_then(Value::as_u64) != Some(FORMAT_VERSION)
-            || root.get("fingerprint").and_then(Value::as_str) != Some(self.fingerprint.as_str())
-        {
-            return;
-        }
-        let Some(entries) = root.get("entries").and_then(Value::as_arr) else {
-            return;
-        };
-        for entry in entries {
-            let Some((content_key, summary)) = entry_from_value(entry) else {
-                continue;
-            };
-            self.insert(content_key, summary);
-        }
-    }
-
-    /// Writes the cache into `dir` (created if missing). Only live
-    /// entries are serialized, so a save after eviction *compacts* the
-    /// on-disk file: evicted entries are dropped, not rewritten.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; the engine reports them without
-    /// failing the run — a broken cache only costs future speed.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(CACHE_FILE_NAME);
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
     /// The fingerprint this cache is bound to.
     pub fn fingerprint(&self) -> &str {
         &self.fingerprint
@@ -345,22 +288,6 @@ impl Cache {
         self.tick += 1;
         self.tick
     }
-
-    /// Serializes the cache (version, fingerprint, entries in file-name
-    /// order — the output is deterministic).
-    pub fn to_json(&self) -> String {
-        let entries: Vec<Value> = self
-            .entries
-            .iter()
-            .map(|(file, entry)| entry_to_value(file, entry.content_key, &entry.summary))
-            .collect();
-        Value::obj(vec![
-            ("version", Value::Num(FORMAT_VERSION)),
-            ("fingerprint", Value::str(self.fingerprint.clone())),
-            ("entries", Value::Arr(entries)),
-        ])
-        .to_json()
-    }
 }
 
 fn entry_to_value(file: &str, content_key: u64, summary: &FileSummary) -> Value {
@@ -406,7 +333,11 @@ impl CacheShards {
     }
 
     /// Loads the single persisted cache file from `dir` and partitions
-    /// its entries across `n` shards by file name.
+    /// its entries across `n` shards by file name. A missing,
+    /// unreadable or corrupt file, or one written under a different
+    /// configuration fingerprint or format version, loads as empty. A
+    /// persisted cache larger than `caps` is trimmed on load (in
+    /// file-name order, since on-disk recency is not persisted).
     pub fn load(dir: &Path, n: usize, fingerprint: &str, caps: CacheCaps) -> Self {
         let shards = CacheShards::new(n, fingerprint, caps);
         let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)) else {
@@ -423,10 +354,7 @@ impl CacheShards {
         let Some(entries) = root.get("entries").and_then(Value::as_arr) else {
             return shards;
         };
-        for entry in entries {
-            let Some((content_key, summary)) = entry_from_value(entry) else {
-                continue;
-            };
+        for (content_key, summary) in entries.iter().filter_map(entry_from_value) {
             shards.insert(content_key, summary);
         }
         shards
@@ -501,38 +429,43 @@ impl CacheShards {
         self.shards.iter().map(|s| lock(s).evictions()).sum()
     }
 
-    /// Merges every shard and writes one deterministic cache file —
-    /// the same format [`Cache::save`] writes and [`CacheShards::load`]
-    /// partitions back, so shard count can change between runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        // File-name order across all shards keeps the merged document
-        // byte-stable regardless of shard count or access history.
-        let mut merged: BTreeMap<String, (u64, FileSummary)> = BTreeMap::new();
+    /// Merges every shard into one cache document: version,
+    /// fingerprint and the live entries in file-name order. The output
+    /// is byte-stable regardless of shard count or access history, and
+    /// [`CacheShards::load`] partitions it back, so shard count can
+    /// change between runs. Store parts are never serialized.
+    pub fn to_json(&self) -> String {
+        let mut merged: BTreeMap<String, Value> = BTreeMap::new();
         let mut fingerprint = String::new();
         for shard in &self.shards {
             let shard = lock(shard);
             fingerprint = shard.fingerprint().to_owned();
             for (file, entry) in &shard.entries {
-                merged.insert(file.clone(), (entry.content_key, entry.summary.clone()));
+                let value = entry_to_value(file, entry.content_key, &entry.summary);
+                merged.insert(file.clone(), value);
             }
         }
-        let entries: Vec<Value> = merged
-            .iter()
-            .map(|(file, (key, summary))| entry_to_value(file, *key, summary))
-            .collect();
-        let doc = Value::obj(vec![
+        Value::obj(vec![
             ("version", Value::Num(FORMAT_VERSION)),
             ("fingerprint", Value::str(fingerprint)),
-            ("entries", Value::Arr(entries)),
+            ("entries", Value::Arr(merged.into_values().collect())),
         ])
-        .to_json();
+        .to_json()
+    }
+
+    /// Writes [`CacheShards::to_json`] into `dir` (created if
+    /// missing). Only live entries are serialized, so a save after
+    /// eviction *compacts* the on-disk file: evicted entries are
+    /// dropped, not rewritten.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; the engine reports them without
+    /// failing the run — a broken cache only costs future speed.
+    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(CACHE_FILE_NAME);
-        std::fs::write(&path, doc)?;
+        std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 
@@ -599,20 +532,20 @@ mod tests {
             std::process::id(),
             std::thread::current().id(),
         ));
-        let mut cache = Cache::empty("fp v1".to_owned());
+        let cache = CacheShards::new(1, "fp v1", CacheCaps::unlimited());
         cache.insert(7, sample_summary("a.php", FileOutcome::Verified));
         cache.insert(9, sample_summary("b.php", FileOutcome::Vulnerable));
         cache.save(&dir).unwrap();
 
-        let mut loaded = Cache::load(&dir, "fp v1");
+        let loaded = CacheShards::load(&dir, 1, "fp v1", CacheCaps::unlimited());
         assert_eq!(loaded.len(), 2);
         assert_eq!(
-            loaded.lookup("a.php", 7).map(|s| s.outcome),
+            loaded.lookup("a.php", 7).map(|(s, _)| s.outcome),
             Some(FileOutcome::Verified)
         );
 
         // A different fingerprint discards everything.
-        let other = Cache::load(&dir, "fp v2");
+        let other = CacheShards::load(&dir, 1, "fp v2", CacheCaps::unlimited());
         assert!(other.is_empty());
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -627,16 +560,16 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(CACHE_FILE_NAME), "{ not json").unwrap();
-        assert!(Cache::load(&dir, "fp").is_empty());
+        assert!(CacheShards::load(&dir, 1, "fp", CacheCaps::unlimited()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn to_json_is_deterministic() {
-        let mut a = Cache::empty("fp".to_owned());
+        let a = CacheShards::new(1, "fp", CacheCaps::unlimited());
         a.insert(1, sample_summary("z.php", FileOutcome::Verified));
         a.insert(2, sample_summary("a.php", FileOutcome::Verified));
-        let mut b = Cache::empty("fp".to_owned());
+        let b = CacheShards::new(3, "fp", CacheCaps::unlimited());
         b.insert(2, sample_summary("a.php", FileOutcome::Verified));
         b.insert(1, sample_summary("z.php", FileOutcome::Verified));
         assert_eq!(a.to_json(), b.to_json());
@@ -682,7 +615,7 @@ mod tests {
             // Room for two entries, not three.
             max_bytes: Some(one_entry * 2 + one_entry / 2),
         };
-        let mut cache = Cache::empty_with_caps("fp".to_owned(), caps);
+        let cache = CacheShards::new(1, "fp", caps);
         cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
         cache.insert(2, sample_summary("b.php", FileOutcome::Verified));
         let evicted = cache.insert(3, sample_summary("c.php", FileOutcome::Verified));
@@ -696,7 +629,7 @@ mod tests {
             std::thread::current().id(),
         ));
         cache.save(&dir).unwrap();
-        let mut reloaded = Cache::load(&dir, "fp");
+        let reloaded = CacheShards::load(&dir, 1, "fp", CacheCaps::unlimited());
         assert_eq!(reloaded.len(), cache.len());
         assert!(
             reloaded.lookup("a.php", 1).is_none(),
@@ -798,7 +731,7 @@ mod tests {
             max_entries: Some(2),
             max_bytes: None,
         };
-        let mut cache = Cache::empty_with_caps("fp".to_owned(), caps);
+        let cache = CacheShards::new(1, "fp", caps);
         cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
         cache.insert(2, sample_summary("b.php", FileOutcome::Verified));
         let json = cache.to_json();
@@ -809,7 +742,7 @@ mod tests {
         cache.attach_part("b.php", 2, Arc::clone(&part));
         assert_eq!(cache.store_parts(), 2);
         assert_eq!(cache.to_json(), json, "parts are never serialized");
-        assert_eq!(cache.lookup_entry("a.php", 1).unwrap().part, Some(part));
+        assert_eq!(cache.lookup("a.php", 1).unwrap().1, Some(part));
 
         // Replacement and eviction drop the part with the entry.
         cache.insert(3, sample_summary("b.php", FileOutcome::Vulnerable));

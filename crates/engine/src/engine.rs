@@ -10,6 +10,7 @@ use php_front::SourceSet;
 use webssari_core::{
     FileOutcome, FileReport, FileSummary, SolveBudget, StoreCell, Verifier, VerifyError,
 };
+use xbmc::XbmcStats;
 
 use crate::cache::{CacheCaps, CacheShards};
 use crate::handle::EngineHandle;
@@ -42,7 +43,6 @@ pub struct EngineBuilder {
     workers: usize,
     cache_dir: Option<PathBuf>,
     cache_caps: CacheCaps,
-    cache_shards: Option<usize>,
 }
 
 impl EngineBuilder {
@@ -53,7 +53,6 @@ impl EngineBuilder {
             workers: 1,
             cache_dir: None,
             cache_caps: CacheCaps::unlimited(),
-            cache_shards: None,
         }
     }
 
@@ -97,24 +96,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Number of independent cache shards (default: the worker count).
-    /// Shard choice only decides lock placement — reports are
-    /// identical for any shard count.
-    #[must_use]
-    pub fn cache_shards(mut self, n: usize) -> Self {
-        self.cache_shards = Some(n.max(1));
-        self
-    }
-
     /// Builds the engine.
     pub fn build(self) -> Engine {
-        let workers = self.workers.max(1);
         Engine {
             verifier: self.verifier,
-            workers,
+            workers: self.workers.max(1),
             cache_dir: self.cache_dir,
             cache_caps: self.cache_caps,
-            cache_shards: self.cache_shards.unwrap_or(workers),
         }
     }
 }
@@ -126,7 +114,6 @@ pub struct Engine {
     pub(crate) workers: usize,
     pub(crate) cache_dir: Option<PathBuf>,
     pub(crate) cache_caps: CacheCaps,
-    pub(crate) cache_shards: usize,
 }
 
 /// One file's result in an [`EngineReport`].
@@ -249,7 +236,6 @@ type Job = (usize, String, u64);
 
 struct JobDone {
     index: usize,
-    file: String,
     content_key: u64,
     worker: usize,
     queue_wait: Duration,
@@ -370,13 +356,14 @@ impl Engine {
             // Live counters move the moment the job is done, not when
             // the batch is assembled — a snapshot mid-batch sees them.
             match &result {
-                Ok(report) => stats.record_fresh(report.outcome, duration, Some(&report.bmc.stats)),
-                Err(_) => stats.record_fresh(FileOutcome::ParseError, duration, None),
+                Ok(report) => stats.record_fresh(report.outcome, duration, &report.bmc.stats),
+                Err(_) => {
+                    stats.record_fresh(FileOutcome::ParseError, duration, &XbmcStats::default())
+                }
             }
             stats.job_finished();
             JobDone {
                 index: *index,
-                file: file.clone(),
                 content_key: *content_key,
                 worker,
                 queue_wait: picked.duration_since(started),
@@ -477,88 +464,59 @@ impl Engine {
         let mut built_parts = built.iter().peekable();
         for ((name, key), slot) in names.into_iter().zip(slots) {
             let part = built_parts.next_if(|(file, _)| *file == name);
-            match slot.expect("every slot is either a hit or a finished job") {
+            let metrics = match slot.expect("every slot is either a hit or a finished job") {
                 Slot::Hit(summary) => {
                     hits += 1;
-                    file_metrics.push(FileMetrics {
+                    let metrics = FileMetrics {
                         file: name,
                         outcome: summary.outcome,
                         from_cache: true,
                         worker: None,
                         queue_wait: Duration::ZERO,
                         duration: Duration::ZERO,
-                        conflicts: 0,
-                        decisions: 0,
-                        propagations: 0,
-                        restarts: 0,
-                        sat_calls: 0,
-                        pre_units_fixed: 0,
-                        pre_clauses_removed: 0,
-                        cubes_learned: 0,
-                        cube_assignments: 0,
-                    });
+                        bmc: XbmcStats::default(),
+                    };
                     report.files.push(EngineFileResult {
                         summary,
                         report: None,
                         from_cache: true,
                     });
+                    metrics
                 }
                 Slot::Fresh(done) => {
                     misses += 1;
-                    match done.result {
+                    let (outcome, bmc) = match done.result {
                         Ok(file_report) => {
                             let summary = file_report.summary();
                             let evicted = cache.insert(done.content_key, summary.clone());
                             if evicted > 0 {
                                 stats.record_evictions(evicted);
                             }
-                            let stats = &file_report.bmc.stats;
-                            file_metrics.push(FileMetrics {
-                                file: done.file,
-                                outcome: summary.outcome,
-                                from_cache: false,
-                                worker: Some(done.worker),
-                                queue_wait: done.queue_wait,
-                                duration: done.duration,
-                                conflicts: stats.conflicts,
-                                decisions: stats.decisions,
-                                propagations: stats.propagations,
-                                restarts: stats.restarts,
-                                sat_calls: stats.sat_calls,
-                                pre_units_fixed: stats.pre_units_fixed,
-                                pre_clauses_removed: stats.pre_clauses_removed,
-                                cubes_learned: stats.cubes_learned,
-                                cube_assignments: stats.cube_assignments,
-                            });
+                            let counted = (summary.outcome, file_report.bmc.stats);
                             report.files.push(EngineFileResult {
                                 summary,
                                 report: Some(file_report),
                                 from_cache: false,
                             });
+                            counted
                         }
                         Err(e) => {
-                            file_metrics.push(FileMetrics {
-                                file: done.file.clone(),
-                                outcome: FileOutcome::ParseError,
-                                from_cache: false,
-                                worker: Some(done.worker),
-                                queue_wait: done.queue_wait,
-                                duration: done.duration,
-                                conflicts: 0,
-                                decisions: 0,
-                                propagations: 0,
-                                restarts: 0,
-                                sat_calls: 0,
-                                pre_units_fixed: 0,
-                                pre_clauses_removed: 0,
-                                cubes_learned: 0,
-                                cube_assignments: 0,
-                            });
-                            report.failed_files.push((done.file, e.to_string()));
+                            report.failed_files.push((name.clone(), e.to_string()));
+                            (FileOutcome::ParseError, XbmcStats::default())
                         }
+                    };
+                    FileMetrics {
+                        file: name,
+                        outcome,
+                        from_cache: false,
+                        worker: Some(done.worker),
+                        queue_wait: done.queue_wait,
+                        duration: done.duration,
+                        bmc,
                     }
                 }
-            }
+            };
+            file_metrics.push(metrics);
             // After the insert, so a miss's new entry takes its part
             // (an uncached outcome leaves no entry to take it).
             if let Some((file, part)) = part {

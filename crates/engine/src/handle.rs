@@ -40,10 +40,10 @@ pub struct EngineHandle {
 
 impl EngineHandle {
     /// Wraps an engine, loading its persistent cache (if any) once and
-    /// partitioning it across the engine's cache shards.
+    /// partitioning it across one cache shard per worker.
     pub fn new(engine: Engine) -> Self {
         let fingerprint = engine.fingerprint();
-        let shards = engine.cache_shards;
+        let shards = engine.workers;
         let caps = engine.cache_caps;
         let cache = match engine.cache_dir() {
             Some(dir) => CacheShards::load(dir, shards, &fingerprint, caps),
@@ -167,6 +167,32 @@ mod tests {
         assert_eq!(snap.cache_misses, 2);
         assert_eq!(snap.jobs_in_flight, 0);
         assert_eq!(handle.cached_files(), 2);
+    }
+
+    #[test]
+    fn solver_totals_sum_the_fresh_reports_across_batches() {
+        let handle = EngineBuilder::new().workers(2).build().into_handle();
+        let mut set = small_set();
+        set.add_file("xss.php", "<?php echo $_GET['x'];");
+        let first = handle.run(&set);
+        set.add_file("sqli.php", "<?php $t = $_GET['t']; mysql_query($t);");
+        let second = handle.run(&set);
+        assert_eq!(
+            second.metrics.cache_misses, 1,
+            "only the edited file re-verifies"
+        );
+
+        let mut both = xbmc::XbmcStats::default();
+        for report in [&first, &second] {
+            let mut fresh = xbmc::XbmcStats::default();
+            for file in report.files.iter().filter_map(|f| f.report.as_ref()) {
+                fresh.add(&file.bmc.stats);
+            }
+            assert!(fresh.sat_calls > 0, "a vulnerable file reaches the solver");
+            assert_eq!(report.metrics.totals(), fresh);
+            both.add(&fresh);
+        }
+        assert_eq!(handle.snapshot().bmc, both);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use webssari_core::FileOutcome;
+use xbmc::XbmcStats;
 
 use crate::json::Value;
 
@@ -23,24 +24,9 @@ pub struct FileMetrics {
     pub queue_wait: Duration,
     /// Verification time (zero for cache hits).
     pub duration: Duration,
-    /// SAT solver conflicts spent on this file.
-    pub conflicts: u64,
-    /// SAT solver decisions.
-    pub decisions: u64,
-    /// SAT solver unit propagations.
-    pub propagations: u64,
-    /// SAT solver restarts.
-    pub restarts: u64,
-    /// SAT solver invocations.
-    pub sat_calls: usize,
-    /// Root-level unit literals fixed by formula preprocessing.
-    pub pre_units_fixed: u64,
-    /// Clauses removed by formula preprocessing before attachment.
-    pub pre_clauses_removed: u64,
-    /// Generalized blocking cubes the ALLSAT enumerator learned.
-    pub cubes_learned: u64,
-    /// Counterexamples materialized by expanding those cubes.
-    pub cube_assignments: u64,
+    /// Solver and BMC work spent on this file (all zero for cache hits
+    /// and parse errors).
+    pub bmc: XbmcStats,
 }
 
 /// Aggregate metrics for one engine run, with per-file breakdown in
@@ -66,44 +52,13 @@ pub struct EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Total solver conflicts across all files.
-    pub fn total_conflicts(&self) -> u64 {
-        self.files.iter().map(|f| f.conflicts).sum()
-    }
-
-    /// Total solver decisions across all files.
-    pub fn total_decisions(&self) -> u64 {
-        self.files.iter().map(|f| f.decisions).sum()
-    }
-
-    /// Total solver propagations across all files.
-    pub fn total_propagations(&self) -> u64 {
-        self.files.iter().map(|f| f.propagations).sum()
-    }
-
-    /// Total SAT solver invocations across all files.
-    pub fn total_sat_calls(&self) -> usize {
-        self.files.iter().map(|f| f.sat_calls).sum()
-    }
-
-    /// Total root-level units fixed by preprocessing across all files.
-    pub fn total_pre_units_fixed(&self) -> u64 {
-        self.files.iter().map(|f| f.pre_units_fixed).sum()
-    }
-
-    /// Total clauses removed by preprocessing across all files.
-    pub fn total_pre_clauses_removed(&self) -> u64 {
-        self.files.iter().map(|f| f.pre_clauses_removed).sum()
-    }
-
-    /// Total generalized cubes learned across all files.
-    pub fn total_cubes_learned(&self) -> u64 {
-        self.files.iter().map(|f| f.cubes_learned).sum()
-    }
-
-    /// Total cube-expanded counterexamples across all files.
-    pub fn total_cube_assignments(&self) -> u64 {
-        self.files.iter().map(|f| f.cube_assignments).sum()
+    /// Solver and BMC work summed over every file.
+    pub fn totals(&self) -> XbmcStats {
+        let mut totals = XbmcStats::default();
+        for f in &self.files {
+            totals.add(&f.bmc);
+        }
+        totals
     }
 
     /// Files with the given outcome.
@@ -113,6 +68,7 @@ impl EngineMetrics {
 
     /// Renders a human-readable metrics table.
     pub fn render_text(&self) -> String {
+        let totals = self.totals();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -133,18 +89,17 @@ impl EngineMetrics {
             out,
             "solver: {} call(s), {} conflict(s), {} decision(s), {} propagation(s); \
              preprocessing: {} unit(s) fixed, {} clause(s) removed",
-            self.total_sat_calls(),
-            self.total_conflicts(),
-            self.total_decisions(),
-            self.total_propagations(),
-            self.total_pre_units_fixed(),
-            self.total_pre_clauses_removed(),
+            totals.sat_calls,
+            totals.conflicts,
+            totals.decisions,
+            totals.propagations,
+            totals.pre_units_fixed,
+            totals.pre_clauses_removed,
         );
         let _ = writeln!(
             out,
             "enumeration: {} cube(s) learned covering {} assignment(s)",
-            self.total_cubes_learned(),
-            self.total_cube_assignments(),
+            totals.cubes_learned, totals.cube_assignments,
         );
         let _ = writeln!(
             out,
@@ -160,7 +115,7 @@ impl EngineMetrics {
                 fmt_duration(f.duration),
                 fmt_duration(f.queue_wait),
                 if f.from_cache { "hit" } else { "miss" },
-                f.conflicts,
+                f.bmc.conflicts,
             );
         }
         out
@@ -168,6 +123,7 @@ impl EngineMetrics {
 
     /// Serializes the metrics (durations in microseconds).
     pub fn to_json(&self) -> String {
+        let totals = self.totals();
         let files: Vec<Value> = self
             .files
             .iter()
@@ -182,15 +138,15 @@ impl EngineMetrics {
                     ),
                     ("queue_wait_us", Value::Num(as_micros(f.queue_wait))),
                     ("duration_us", Value::Num(as_micros(f.duration))),
-                    ("conflicts", Value::Num(f.conflicts)),
-                    ("decisions", Value::Num(f.decisions)),
-                    ("propagations", Value::Num(f.propagations)),
-                    ("restarts", Value::Num(f.restarts)),
-                    ("sat_calls", Value::Num(f.sat_calls as u64)),
-                    ("pre_units_fixed", Value::Num(f.pre_units_fixed)),
-                    ("pre_clauses_removed", Value::Num(f.pre_clauses_removed)),
-                    ("cubes_learned", Value::Num(f.cubes_learned)),
-                    ("cube_assignments", Value::Num(f.cube_assignments)),
+                    ("conflicts", Value::Num(f.bmc.conflicts)),
+                    ("decisions", Value::Num(f.bmc.decisions)),
+                    ("propagations", Value::Num(f.bmc.propagations)),
+                    ("restarts", Value::Num(f.bmc.restarts)),
+                    ("sat_calls", Value::Num(f.bmc.sat_calls as u64)),
+                    ("pre_units_fixed", Value::Num(f.bmc.pre_units_fixed)),
+                    ("pre_clauses_removed", Value::Num(f.bmc.pre_clauses_removed)),
+                    ("cubes_learned", Value::Num(f.bmc.cubes_learned)),
+                    ("cube_assignments", Value::Num(f.bmc.cube_assignments)),
                 ])
             })
             .collect();
@@ -203,15 +159,12 @@ impl EngineMetrics {
                 "store_parts_built",
                 Value::Num(self.store_parts_built as u64),
             ),
-            ("total_conflicts", Value::Num(self.total_conflicts())),
-            ("total_sat_calls", Value::Num(self.total_sat_calls() as u64)),
-            (
-                "total_cubes_learned",
-                Value::Num(self.total_cubes_learned()),
-            ),
+            ("total_conflicts", Value::Num(totals.conflicts)),
+            ("total_sat_calls", Value::Num(totals.sat_calls as u64)),
+            ("total_cubes_learned", Value::Num(totals.cubes_learned)),
             (
                 "total_cube_assignments",
-                Value::Num(self.total_cube_assignments()),
+                Value::Num(totals.cube_assignments),
             ),
             ("files", Value::Arr(files)),
         ])
@@ -240,6 +193,26 @@ mod tests {
     use crate::json;
 
     fn sample() -> EngineMetrics {
+        // Both files carry distinct non-zero counters so the totals
+        // test checks real sums, not one file copied through.
+        let mut a = XbmcStats::default();
+        a.conflicts = 2;
+        a.decisions = 6;
+        a.propagations = 30;
+        a.restarts = 2;
+        a.sat_calls = 1;
+        a.pre_units_fixed = 1;
+        a.pre_clauses_removed = 4;
+        let mut b = XbmcStats::default();
+        b.conflicts = 17;
+        b.decisions = 40;
+        b.propagations = 200;
+        b.restarts = 1;
+        b.sat_calls = 5;
+        b.pre_units_fixed = 9;
+        b.pre_clauses_removed = 3;
+        b.cubes_learned = 4;
+        b.cube_assignments = 13;
         EngineMetrics {
             workers: 4,
             wall_time: Duration::from_millis(12),
@@ -254,15 +227,7 @@ mod tests {
                     worker: None,
                     queue_wait: Duration::ZERO,
                     duration: Duration::ZERO,
-                    conflicts: 0,
-                    decisions: 0,
-                    propagations: 0,
-                    restarts: 0,
-                    sat_calls: 0,
-                    pre_units_fixed: 0,
-                    pre_clauses_removed: 0,
-                    cubes_learned: 0,
-                    cube_assignments: 0,
+                    bmc: a,
                 },
                 FileMetrics {
                     file: "b.php".to_owned(),
@@ -271,15 +236,7 @@ mod tests {
                     worker: Some(2),
                     queue_wait: Duration::from_micros(150),
                     duration: Duration::from_millis(3),
-                    conflicts: 17,
-                    decisions: 40,
-                    propagations: 200,
-                    restarts: 1,
-                    sat_calls: 5,
-                    pre_units_fixed: 9,
-                    pre_clauses_removed: 3,
-                    cubes_learned: 4,
-                    cube_assignments: 13,
+                    bmc: b,
                 },
             ],
         }
@@ -287,13 +244,17 @@ mod tests {
 
     #[test]
     fn totals_aggregate_per_file_counters() {
+        let t = sample().totals();
+        assert_eq!(t.conflicts, 19);
+        assert_eq!(t.decisions, 46);
+        assert_eq!(t.propagations, 230);
+        assert_eq!(t.restarts, 3);
+        assert_eq!(t.sat_calls, 6);
+        assert_eq!(t.pre_units_fixed, 10);
+        assert_eq!(t.pre_clauses_removed, 7);
+        assert_eq!(t.cubes_learned, 4);
+        assert_eq!(t.cube_assignments, 13);
         let m = sample();
-        assert_eq!(m.total_conflicts(), 17);
-        assert_eq!(m.total_sat_calls(), 5);
-        assert_eq!(m.total_pre_units_fixed(), 9);
-        assert_eq!(m.total_pre_clauses_removed(), 3);
-        assert_eq!(m.total_cubes_learned(), 4);
-        assert_eq!(m.total_cube_assignments(), 13);
         assert_eq!(m.count(FileOutcome::Verified), 1);
         assert_eq!(m.count(FileOutcome::Timeout), 0);
     }
@@ -306,6 +267,10 @@ mod tests {
         assert!(text.contains("a.php"));
         assert!(text.contains("vulnerable"));
         assert!(text.contains("4 cube(s) learned covering 13 assignment(s)"));
+        assert!(text.contains(
+            "solver: 6 call(s), 19 conflict(s), 46 decision(s), 230 propagation(s); \
+             preprocessing: 10 unit(s) fixed, 7 clause(s) removed"
+        ));
     }
 
     #[test]
@@ -327,6 +292,8 @@ mod tests {
             v.get("total_cube_assignments").and_then(Value::as_u64),
             Some(13)
         );
+        assert_eq!(v.get("total_conflicts").and_then(Value::as_u64), Some(19));
+        assert_eq!(v.get("total_sat_calls").and_then(Value::as_u64), Some(6));
         assert_eq!(
             files[1].get("cubes_learned").and_then(Value::as_u64),
             Some(4)

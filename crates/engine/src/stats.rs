@@ -4,14 +4,16 @@
 //! batch; a long-running service needs totals it can read at any
 //! moment — including mid-batch, from another thread. [`EngineStats`]
 //! is a bundle of atomic counters that workers bump as each job
-//! completes (and a gauge they bump when they pick a job up), and
+//! completes (and a gauge they bump when they pick a job up), plus the
+//! summed [`xbmc::XbmcStats`] of every finished job, and
 //! [`EngineSnapshot`] is one consistent-enough read of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use webssari_core::{FileOutcome, FileSummary};
+use xbmc::XbmcStats;
 
 /// Cumulative engine counters shared across batches. Cloning shares
 /// the underlying counters (the handle and its workers all write to
@@ -34,18 +36,11 @@ struct Counters {
     files_timeout: AtomicU64,
     files_parse_error: AtomicU64,
     verify_micros: AtomicU64,
-    conflicts: AtomicU64,
-    decisions: AtomicU64,
-    propagations: AtomicU64,
-    binary_propagations: AtomicU64,
-    restarts: AtomicU64,
-    sat_calls: AtomicU64,
-    pre_units_fixed: AtomicU64,
-    pre_clauses_removed: AtomicU64,
-    cubes_learned: AtomicU64,
-    cube_assignments: AtomicU64,
-    sql_assertions_checked: AtomicU64,
-    second_order_flows_found: AtomicU64,
+    /// Solver and BMC work of every finished job. One job's record is
+    /// added under the lock at once, so a snapshot sees all of a job's
+    /// solver fields or none of them (its miss and outcome counters
+    /// above are bumped separately and may lead).
+    bmc: Mutex<XbmcStats>,
 }
 
 /// One point-in-time read of [`EngineStats`]. Individual fields are
@@ -75,33 +70,8 @@ pub struct EngineSnapshot {
     pub files_parse_error: u64,
     /// Total wall time spent verifying files, in microseconds.
     pub verify_micros: u64,
-    /// SAT solver conflicts.
-    pub conflicts: u64,
-    /// SAT solver decisions.
-    pub decisions: u64,
-    /// SAT solver unit propagations.
-    pub propagations: u64,
-    /// Propagations served by the solver's binary implication lists (a
-    /// subset of `propagations` that never touched the clause arena).
-    pub binary_propagations: u64,
-    /// SAT solver restarts.
-    pub restarts: u64,
-    /// SAT solver invocations.
-    pub sat_calls: u64,
-    /// Root-level unit literals fixed by formula preprocessing.
-    pub pre_units_fixed: u64,
-    /// Clauses removed by formula preprocessing before attachment.
-    pub pre_clauses_removed: u64,
-    /// Generalized blocking cubes learned by ALLSAT enumeration.
-    pub cubes_learned: u64,
-    /// Counterexamples materialized by expanding those cubes.
-    pub cube_assignments: u64,
-    /// Assertions checked with SQL query-structure semantics
-    /// (concatenated-into-query-text sink arguments).
-    pub sql_assertions_checked: u64,
-    /// Violated assertions whose counterexample trace reads a
-    /// cross-request store cell (second-order flows).
-    pub second_order_flows_found: u64,
+    /// Solver and BMC work summed over every verified file.
+    pub bmc: XbmcStats,
 }
 
 impl EngineSnapshot {
@@ -146,18 +116,7 @@ impl EngineStats {
             files_timeout: load(&c.files_timeout),
             files_parse_error: load(&c.files_parse_error),
             verify_micros: load(&c.verify_micros),
-            conflicts: load(&c.conflicts),
-            decisions: load(&c.decisions),
-            propagations: load(&c.propagations),
-            binary_propagations: load(&c.binary_propagations),
-            restarts: load(&c.restarts),
-            sat_calls: load(&c.sat_calls),
-            pre_units_fixed: load(&c.pre_units_fixed),
-            pre_clauses_removed: load(&c.pre_clauses_removed),
-            cubes_learned: load(&c.cubes_learned),
-            cube_assignments: load(&c.cube_assignments),
-            sql_assertions_checked: load(&c.sql_assertions_checked),
-            second_order_flows_found: load(&c.second_order_flows_found),
+            bmc: *c.bmc.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
@@ -186,54 +145,18 @@ impl EngineStats {
         self.record_outcome(summary.outcome);
     }
 
-    pub(crate) fn record_fresh(
-        &self,
-        outcome: FileOutcome,
-        duration: Duration,
-        stats: Option<&xbmc::XbmcStats>,
-    ) {
+    pub(crate) fn record_fresh(&self, outcome: FileOutcome, duration: Duration, bmc: &XbmcStats) {
         self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
         self.record_outcome(outcome);
         self.inner.verify_micros.fetch_add(
             u64::try_from(duration.as_micros()).unwrap_or(u64::MAX),
             Ordering::Relaxed,
         );
-        if let Some(s) = stats {
-            self.inner
-                .conflicts
-                .fetch_add(s.conflicts, Ordering::Relaxed);
-            self.inner
-                .decisions
-                .fetch_add(s.decisions, Ordering::Relaxed);
-            self.inner
-                .propagations
-                .fetch_add(s.propagations, Ordering::Relaxed);
-            self.inner
-                .binary_propagations
-                .fetch_add(s.binary_propagations, Ordering::Relaxed);
-            self.inner.restarts.fetch_add(s.restarts, Ordering::Relaxed);
-            self.inner
-                .sat_calls
-                .fetch_add(s.sat_calls as u64, Ordering::Relaxed);
-            self.inner
-                .pre_units_fixed
-                .fetch_add(s.pre_units_fixed, Ordering::Relaxed);
-            self.inner
-                .pre_clauses_removed
-                .fetch_add(s.pre_clauses_removed, Ordering::Relaxed);
-            self.inner
-                .cubes_learned
-                .fetch_add(s.cubes_learned, Ordering::Relaxed);
-            self.inner
-                .cube_assignments
-                .fetch_add(s.cube_assignments, Ordering::Relaxed);
-            self.inner
-                .sql_assertions_checked
-                .fetch_add(s.sql_assertions_checked, Ordering::Relaxed);
-            self.inner
-                .second_order_flows_found
-                .fetch_add(s.second_order_flows_found, Ordering::Relaxed);
-        }
+        self.inner
+            .bmc
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .add(bmc);
     }
 
     fn record_outcome(&self, outcome: FileOutcome) {
@@ -256,7 +179,11 @@ mod tests {
         let stats = EngineStats::new();
         let clone = stats.clone();
         clone.batch_started();
-        clone.record_fresh(FileOutcome::Verified, Duration::from_micros(5), None);
+        clone.record_fresh(
+            FileOutcome::Verified,
+            Duration::from_micros(5),
+            &XbmcStats::default(),
+        );
         let snap = stats.snapshot();
         assert_eq!(snap.batches_started, 1);
         assert_eq!(snap.cache_misses, 1);

@@ -3,8 +3,8 @@
 //! and an unchanged source + configuration must always hit the cache.
 
 use proptest::prelude::*;
-use webssari_core::{SolveBudget, Verifier, VerifierBuilder};
-use webssari_engine::{Cache, EngineBuilder};
+use webssari_core::{FileOutcome, FileSummary, SolveBudget, Verifier, VerifierBuilder};
+use webssari_engine::{CacheCaps, CacheShards, EngineBuilder};
 
 /// The verifier knobs the fingerprint must track.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,6 +24,18 @@ fn knobs() -> impl Strategy<Value = Knobs> {
             minimize_guard_lines,
         },
     )
+}
+
+fn summary(file: &str) -> FileSummary {
+    FileSummary {
+        file: file.to_owned(),
+        num_statements: 1,
+        ts_errors: 0,
+        bmc_groups: 0,
+        counterexamples: 0,
+        vulnerabilities: Vec::new(),
+        outcome: FileOutcome::Verified,
+    }
 }
 
 fn build(k: &Knobs) -> Verifier {
@@ -128,10 +140,11 @@ proptest! {
             std::thread::current().id(),
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = Cache::empty(fingerprint.clone());
+        let cache = CacheShards::new(1, &fingerprint, CacheCaps::unlimited());
+        cache.insert(7, summary("a.php"));
         cache.save(&dir).unwrap();
-        let loaded = Cache::load(&dir, &fingerprint);
-        prop_assert_eq!(loaded.fingerprint(), fingerprint.as_str());
+        let loaded = CacheShards::load(&dir, 1, &fingerprint, CacheCaps::unlimited());
+        prop_assert!(loaded.lookup("a.php", 7).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -50,12 +50,10 @@ proptest! {
         let set = source_set(&seed);
         let baseline = EngineBuilder::new()
             .workers(1)
-            .cache_shards(1)
             .build()
             .run(&set);
         let sharded = EngineBuilder::new()
             .workers(workers)
-            .cache_shards(workers)
             .build()
             .run(&set);
         prop_assert_eq!(
@@ -75,12 +73,10 @@ proptest! {
         let set = source_set(&seed);
         let baseline = EngineBuilder::new()
             .workers(1)
-            .cache_shards(1)
             .build()
             .into_handle();
         let sharded = EngineBuilder::new()
             .workers(workers)
-            .cache_shards(workers)
             .build()
             .into_handle();
         baseline.run(&set);
@@ -104,12 +100,10 @@ proptest! {
         let set = source_set(&seed);
         let baseline = EngineBuilder::new()
             .workers(1)
-            .cache_shards(1)
             .build()
             .run(&set);
         let capped = EngineBuilder::new()
             .workers(workers)
-            .cache_shards(workers)
             .cache_max_entries(1)
             .build()
             .into_handle();

@@ -277,7 +277,7 @@ impl ServerMetrics {
             &mut out,
             "webssari_queue_rejected_total",
             "counter",
-            "Connections answered 429 because the queue was full.",
+            "Requests shed with 429 because their dispatch shard was full.",
         );
         let _ = writeln!(
             out,
@@ -290,7 +290,7 @@ impl ServerMetrics {
                 &mut out,
                 "webssari_shard_queue_depth",
                 "gauge",
-                "Requests waiting in each event-mode dispatch shard.",
+                "Requests waiting in each dispatch shard.",
             );
             for (shard, depth) in shard_depths.iter().enumerate() {
                 let _ = writeln!(
@@ -404,6 +404,7 @@ impl ServerMetrics {
             engine.verify_micros as f64 / 1e6,
         );
 
+        let bmc = &engine.bmc;
         metric(
             &mut out,
             "webssari_engine_solver_events_total",
@@ -411,13 +412,13 @@ impl ServerMetrics {
             "Cumulative SAT solver activity by kind.",
         );
         for (kind, count) in [
-            ("conflicts", engine.conflicts),
-            ("decisions", engine.decisions),
-            ("propagations", engine.propagations),
-            ("restarts", engine.restarts),
-            ("calls", engine.sat_calls),
-            ("pre_units_fixed", engine.pre_units_fixed),
-            ("pre_clauses_removed", engine.pre_clauses_removed),
+            ("conflicts", bmc.conflicts),
+            ("decisions", bmc.decisions),
+            ("propagations", bmc.propagations),
+            ("restarts", bmc.restarts),
+            ("calls", bmc.sat_calls as u64),
+            ("pre_units_fixed", bmc.pre_units_fixed),
+            ("pre_clauses_removed", bmc.pre_clauses_removed),
         ] {
             let _ = writeln!(
                 out,
@@ -433,8 +434,8 @@ impl ServerMetrics {
              counterexamples materialized by expanding them.",
         );
         for (kind, count) in [
-            ("cubes_learned", engine.cubes_learned),
-            ("cube_assignments", engine.cube_assignments),
+            ("cubes_learned", bmc.cubes_learned),
+            ("cube_assignments", bmc.cube_assignments),
         ] {
             let _ = writeln!(
                 out,
@@ -453,7 +454,7 @@ impl ServerMetrics {
         let _ = writeln!(
             out,
             "webssari_sat_binary_propagations_total {}",
-            engine.binary_propagations,
+            bmc.binary_propagations,
         );
 
         metric(
@@ -465,7 +466,7 @@ impl ServerMetrics {
         let _ = writeln!(
             out,
             "webssari_engine_sql_assertions_total {}",
-            engine.sql_assertions_checked,
+            bmc.sql_assertions_checked,
         );
         metric(
             &mut out,
@@ -477,7 +478,7 @@ impl ServerMetrics {
         let _ = writeln!(
             out,
             "webssari_engine_second_order_flows_total {}",
-            engine.second_order_flows_found,
+            bmc.second_order_flows_found,
         );
         out
     }
@@ -565,20 +566,20 @@ mod tests {
     #[test]
     fn engine_snapshot_flows_through() {
         let m = ServerMetrics::new();
-        let snap = EngineSnapshot {
+        let mut snap = EngineSnapshot {
             cache_hits: 3,
             cache_misses: 1,
             cache_evictions: 2,
             files_vulnerable: 1,
-            sat_calls: 7,
-            pre_units_fixed: 11,
-            pre_clauses_removed: 2,
-            cubes_learned: 6,
-            cube_assignments: 19,
-            sql_assertions_checked: 4,
-            second_order_flows_found: 2,
             ..EngineSnapshot::default()
         };
+        snap.bmc.sat_calls = 7;
+        snap.bmc.pre_units_fixed = 11;
+        snap.bmc.pre_clauses_removed = 2;
+        snap.bmc.cubes_learned = 6;
+        snap.bmc.cube_assignments = 19;
+        snap.bmc.sql_assertions_checked = 4;
+        snap.bmc.second_order_flows_found = 2;
         let text = m.render_prometheus(&snap, &[]);
         assert!(text.contains("webssari_engine_cache_hits_total 3"));
         assert!(text.contains("webssari_engine_cache_evictions_total 2"));

@@ -18,8 +18,8 @@ use std::process::ExitCode;
 use webssari::ir::{abstract_interpret, filter_program, FilterOptions, Prelude};
 use webssari::php::{parse_source, SourceSet};
 use webssari::{
-    instrument_bmc, instrument_ts, EngineBuilder, FileOutcome, SolveBudget, Verifier,
-    VerifierBuilder,
+    instrument_bmc, instrument_ts, EngineBuilder, FileOutcome, ProjectReport, SolveBudget,
+    Verifier, VerifierBuilder,
 };
 
 fn main() -> ExitCode {
@@ -82,6 +82,7 @@ OPTIONS:
                      over the {xss, sqli, shell} powerset lattice.
     --certify        Emit and re-check DRAT certificates for every
                      assertion that holds (machine-checked soundness).
+                     Not available with --cache-dir.
     --min-guards     Weight the fixing set by introduction points, so
                      patches minimize inserted guard lines.
     --prefer-parameterize
@@ -93,14 +94,15 @@ OPTIONS:
                      line: `uic f`, `soc f class [args=0,1]`,
                      `sanitizer f`, `superglobal NAME`).
     --summary        One line per file instead of full reports.
-    --html FILE      Also write a cross-referenced HTML report.
+    --html FILE      Also write a cross-referenced HTML report (not
+                     available with --cache-dir).
     --mode bmc|ts    Guard placement strategy (default: bmc).
     --suffix SUF     Patched-file suffix (default: .patched.php).
     --write          Patch files in place.
 
 BATCH ENGINE (verify):
-    --jobs N             Verify files on N parallel workers. The report
-                         is identical to the sequential one.
+    --jobs N             Verify files on N parallel workers (default 1).
+                         The report is identical for any N.
     --cache-dir DIR      Incremental cache: unchanged files under an
                          unchanged configuration are not re-verified.
     --solve-budget-ms MS Per-file SAT budget; files that exceed it are
@@ -108,6 +110,8 @@ BATCH ENGINE (verify):
                          Files the typestate pass finds clean never
                          reach the solver, so they verify even at 0.
     --metrics-json FILE  Write per-file timing/cache/solver metrics.
+                         Any of --jobs, --cache-dir or --metrics-json
+                         also prints the engine metrics block.
 
 DAEMON (serve):
     --addr HOST:PORT       Bind address (default 127.0.0.1:8077).
@@ -368,80 +372,12 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     if sources.is_empty() {
         return fail("no .php files found");
     }
-    // The batch engine path: any engine flag opts in. The sequential
-    // path below stays byte-for-byte what it always was.
-    if opts.jobs.is_some() || opts.cache_dir.is_some() || opts.metrics_json.is_some() {
-        return cmd_verify_engine(&opts, verifier, &sources);
-    }
-    let report = verifier.verify_project(&sources);
-    if opts.summary {
-        for file in &report.files {
-            println!(
-                "{:<40} {:>6} stmts {:>4} TS {:>4} BMC {}",
-                file.file,
-                file.num_statements,
-                file.ts_instrumentations(),
-                file.bmc_instrumentations(),
-                if file.is_safe() { "ok" } else { "VULNERABLE" }
-            );
-        }
-    } else {
-        for file in &report.files {
-            print!("{}", file.render_text());
-            println!();
-        }
-    }
-    for (file, err) in &report.failed_files {
-        eprintln!("SKIPPED {file}: {err}");
-    }
-    if opts.certify {
-        let mut total = 0usize;
-        let mut ok = 0usize;
-        for file in &report.files {
-            total += file.bmc.certificates.len();
-            match file.bmc.verify_certificates() {
-                Ok(n) => ok += n,
-                Err((id, e)) => {
-                    eprintln!(
-                        "{}: certificate for assertion {id:?} FAILED: {e}",
-                        file.file
-                    )
-                }
-            }
-        }
-        println!("certified assertions: {total} (independently re-checked: {ok})");
-    }
-    if let Some(html_path) = &opts.html {
-        let html = webssari::render_html(&report, &sources);
-        if let Err(e) = std::fs::write(html_path, html) {
-            return fail(&format!("cannot write {}: {e}", html_path.display()));
-        }
-        println!("HTML report written to {}", html_path.display());
-    }
-    println!(
-        "{} file(s), {} statements; {} vulnerable file(s); TS errors {}, BMC groups {}{}",
-        report.files.len(),
-        report.num_statements(),
-        report.vulnerable_files(),
-        report.ts_errors(),
-        report.bmc_groups(),
-        report
-            .reduction()
-            .map(|r| format!(" (instrumentation reduction {:.1}%)", r * 100.0))
-            .unwrap_or_default(),
-    );
-    if report.is_vulnerable() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_verify_engine(opts: &CommonOptions, verifier: Verifier, sources: &SourceSet) -> ExitCode {
-    if opts.html.is_some() || opts.certify {
+    // A cache hit holds its summary alone, while --html and --certify
+    // read every file's full report.
+    if opts.cache_dir.is_some() && (opts.html.is_some() || opts.certify) {
         return fail(
             "--html and --certify need full reports for every file and are \
-             not available with --jobs/--cache-dir/--metrics-json",
+             not available with --cache-dir",
         );
     }
     let mut builder = EngineBuilder::new()
@@ -450,7 +386,7 @@ fn cmd_verify_engine(opts: &CommonOptions, verifier: Verifier, sources: &SourceS
     if let Some(dir) = &opts.cache_dir {
         builder = builder.cache_dir(dir);
     }
-    let report = builder.build().run(sources);
+    let mut report = builder.build().run(&sources);
     if opts.summary {
         for file in &report.files {
             let status = match file.summary.outcome {
@@ -481,7 +417,43 @@ fn cmd_verify_engine(opts: &CommonOptions, verifier: Verifier, sources: &SourceS
     if let Some(e) = &report.cache_error {
         eprintln!("webssari: warning: {e}");
     }
-    print!("{}", report.metrics.render_text());
+    // Every file is fresh here (no --cache-dir), so the moved-out
+    // reports are the whole project; the totals below read summaries.
+    let project = (opts.certify || opts.html.is_some()).then(|| ProjectReport {
+        files: report
+            .files
+            .iter_mut()
+            .filter_map(|f| f.report.take())
+            .collect(),
+        failed_files: std::mem::take(&mut report.failed_files),
+    });
+    if let (true, Some(project)) = (opts.certify, &project) {
+        let mut total = 0usize;
+        let mut ok = 0usize;
+        for file in &project.files {
+            total += file.bmc.certificates.len();
+            match file.bmc.verify_certificates() {
+                Ok(n) => ok += n,
+                Err((id, e)) => {
+                    eprintln!(
+                        "{}: certificate for assertion {id:?} FAILED: {e}",
+                        file.file
+                    )
+                }
+            }
+        }
+        println!("certified assertions: {total} (independently re-checked: {ok})");
+    }
+    if let (Some(html_path), Some(project)) = (&opts.html, &project) {
+        let html = webssari::render_html(project, &sources);
+        if let Err(e) = std::fs::write(html_path, html) {
+            return fail(&format!("cannot write {}: {e}", html_path.display()));
+        }
+        println!("HTML report written to {}", html_path.display());
+    }
+    if opts.jobs.is_some() || opts.cache_dir.is_some() || opts.metrics_json.is_some() {
+        print!("{}", report.metrics.render_text());
+    }
     if let Some(path) = &opts.metrics_json {
         if let Err(e) = std::fs::write(path, report.metrics.to_json()) {
             return fail(&format!("cannot write {}: {e}", path.display()));

@@ -88,42 +88,45 @@ fn lint_exits_zero_on_clean_tree() {
 fn zero_solve_budget_verifies_ts_clean_files_and_times_out_the_rest() {
     // A file the typestate pass finds clean never enters the solver, so
     // even a zero budget cannot interrupt it; a file with a TS error
-    // goes to BMC and times out.
+    // goes to BMC and times out. With or without engine flags, the
+    // per-file line and the totals report the timeout as such.
     let sanitized = "<?php\necho htmlspecialchars($_GET['v']);\n";
     let dir = scratch(&[("index.php", VULN), ("safe.php", sanitized)]);
     let cache = dir.join("cache");
-    let out = webssari()
-        .args([
-            "verify",
-            dir.to_str().unwrap(),
-            "--summary",
-            "--solve-budget-ms",
-            "0",
-            "--cache-dir",
-            cache.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "timeouts alone exit 0: {stdout}"
-    );
-    assert!(stdout.contains("cache: 0 hit(s), 2 miss(es)"), "{stdout}");
-    let line = |file: &str| {
-        stdout
-            .lines()
-            .find(|l| l.starts_with(file) && l.contains(" BMC "))
-            .unwrap_or_else(|| panic!("no summary line for {file}: {stdout}"))
-            .to_owned()
-    };
-    assert!(line("index.php").ends_with("TIMEOUT"), "{stdout}");
-    assert!(line("safe.php").ends_with(" ok"), "{stdout}");
-    assert!(
-        stdout.contains("1 verified, 0 vulnerable, 1 timeout"),
-        "{stdout}"
-    );
+    for engine_flags in [&[][..], &["--cache-dir", cache.to_str().unwrap()]] {
+        let out = webssari()
+            .args(["verify", dir.to_str().unwrap(), "--summary"])
+            .args(["--solve-budget-ms", "0"])
+            .args(engine_flags)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "timeouts alone exit 0: {stdout}"
+        );
+        let line = |file: &str| {
+            stdout
+                .lines()
+                .find(|l| l.starts_with(file) && l.contains(" BMC "))
+                .unwrap_or_else(|| panic!("no summary line for {file}: {stdout}"))
+                .to_owned()
+        };
+        assert!(line("index.php").ends_with("TIMEOUT"), "{stdout}");
+        assert!(line("safe.php").ends_with(" ok"), "{stdout}");
+        assert!(
+            stdout.contains("0 vulnerable file(s), 1 timeout(s)"),
+            "{stdout}"
+        );
+        if !engine_flags.is_empty() {
+            assert!(stdout.contains("cache: 0 hit(s), 2 miss(es)"), "{stdout}");
+            assert!(
+                stdout.contains("1 verified, 0 vulnerable, 1 timeout"),
+                "{stdout}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -162,19 +165,23 @@ fn patch_with_suffix_leaves_original() {
 fn html_report_is_written() {
     let dir = scratch(&[("index.php", VULN)]);
     let report = dir.join("report.html");
-    let out = webssari()
-        .args([
-            "verify",
-            dir.to_str().unwrap(),
-            "--html",
-            report.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let html = std::fs::read_to_string(&report).unwrap();
-    assert!(html.contains("WebSSARI verification report"));
-    assert!(html.contains("class='line sink'"));
+    for jobs in [&[][..], &["--jobs", "2"]] {
+        let _ = std::fs::remove_file(&report);
+        let out = webssari()
+            .args([
+                "verify",
+                dir.to_str().unwrap(),
+                "--html",
+                report.to_str().unwrap(),
+            ])
+            .args(jobs)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{jobs:?}");
+        let html = std::fs::read_to_string(&report).unwrap();
+        assert!(html.contains("WebSSARI verification report"));
+        assert!(html.contains("class='line sink'"));
+    }
 }
 
 #[test]
@@ -354,7 +361,7 @@ fn serve_daemon_answers_http_and_exits_cleanly_on_sigterm() {
 
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect to daemon");
     stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
         .unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
@@ -404,8 +411,8 @@ fn engine_flags_reject_unsupported_combinations() {
         .args([
             "verify",
             dir.to_str().unwrap(),
-            "--jobs",
-            "2",
+            "--cache-dir",
+            dir.join("cache").to_str().unwrap(),
             "--html",
             dir.join("r.html").to_str().unwrap(),
         ])
