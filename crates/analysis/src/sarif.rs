@@ -91,7 +91,7 @@ fn physical_location(site: &webssari_ir::Site) -> Value {
     Value::obj(vec![
         (
             "artifactLocation",
-            Value::obj(vec![("uri", Value::str(site.file.clone()))]),
+            Value::obj(vec![("uri", Value::str(&*site.file))]),
         ),
         ("region", Value::obj(vec![("startLine", Value::Num(line))])),
     ])
@@ -274,7 +274,7 @@ mod tests {
                     .and_then(|a| a.get("uri"))
                     .and_then(Value::as_str)
                     .unwrap();
-                prop_assert_eq!(uri, d.site.file.as_str());
+                prop_assert_eq!(uri, &*d.site.file);
                 let start = phys
                     .get("region")
                     .and_then(|r| r.get("startLine"))
@@ -300,7 +300,7 @@ mod tests {
                                 .and_then(|a| a.get("uri"))
                                 .and_then(Value::as_str)
                                 .unwrap();
-                            prop_assert_eq!(uri, s.site.file.as_str());
+                            prop_assert_eq!(uri, &*s.site.file);
                             let start = l
                                 .get("physicalLocation")
                                 .and_then(|p| p.get("region"))

@@ -35,10 +35,7 @@ pub fn render_html(report: &ProjectReport, sources: &SourceSet) -> String {
         vuln = report.vulnerable_files(),
         ts = report.ts_errors(),
         bmc = report.bmc_groups(),
-        red = report
-            .reduction()
-            .map(|r| format!(" (instrumentation reduction {:.1}%)", r * 100.0))
-            .unwrap_or_default(),
+        red = crate::reduction_note(report.reduction(), report.timeout_files()),
     );
 
     // ---- file index -------------------------------------------------

@@ -6,7 +6,7 @@
 //! render through it, so a summary written by one is readable by the
 //! other.
 
-use jsonio::Value;
+use jsonio::{len, Value};
 
 use crate::report::{FileOutcome, FileReport, FileSummary, Vulnerability};
 
@@ -57,6 +57,34 @@ pub fn summary_to_value(summary: &FileSummary) -> Value {
         ),
         ("vulnerabilities", Value::Arr(vulns)),
         ("outcome", Value::str(summary.outcome.as_str())),
+    ])
+}
+
+/// `summary_to_value(summary).to_json().len()`, counted without
+/// building either.
+pub fn summary_json_len(summary: &FileSummary) -> usize {
+    let strings = |items: &[String]| len::array(items.iter().map(|s| len::string(s)));
+    let vulnerability = |v: &Vulnerability| {
+        len::object(&[
+            ("class", len::string(&v.class)),
+            ("root_var", len::string(&v.root_var)),
+            ("symptoms", strings(&v.symptoms)),
+            ("funcs", strings(&v.funcs)),
+            ("parameterize", len::boolean(v.parameterize)),
+        ])
+    };
+    let count = |n: usize| len::number(n as u64);
+    len::object(&[
+        ("file", len::string(&summary.file)),
+        ("num_statements", count(summary.num_statements)),
+        ("ts_errors", count(summary.ts_errors)),
+        ("bmc_groups", count(summary.bmc_groups)),
+        ("counterexamples", count(summary.counterexamples)),
+        (
+            "vulnerabilities",
+            len::array(summary.vulnerabilities.iter().map(vulnerability)),
+        ),
+        ("outcome", len::string(summary.outcome.as_str())),
     ])
 }
 

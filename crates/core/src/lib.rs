@@ -51,7 +51,9 @@ mod verifier;
 pub use error::VerifyError;
 pub use html::render_html;
 pub use instrument::{instrument_bmc, instrument_ts, Instrumentation};
-pub use report::{FileOutcome, FileReport, FileSummary, ProjectReport, Vulnerability};
+pub use report::{
+    reduction_note, FileOutcome, FileReport, FileSummary, ProjectReport, Vulnerability,
+};
 pub use verifier::{SolveBudget, StoreCell, Verifier, VerifierBuilder};
 /// The cross-request store summary a [`StoreCell`] holds.
 pub use webssari_ir::StoreSummary;

@@ -240,14 +240,34 @@ impl ProjectReport {
     }
 
     /// The instrumentation reduction BMC achieves over TS
-    /// (`1 − BMC/TS`), the paper's headline 41.0%. `None` when TS
-    /// reports no errors.
+    /// (`1 − BMC/TS`), the paper's headline 41.0%, over the files whose
+    /// check finished: a timed-out file has TS errors but no BMC groups
+    /// to weigh them against. `None` when those files report no TS
+    /// errors.
     pub fn reduction(&self) -> Option<f64> {
-        let ts = self.ts_errors();
-        if ts == 0 {
-            return None;
-        }
-        Some(1.0 - self.bmc_groups() as f64 / ts as f64)
+        let (ts, bmc) = self
+            .files
+            .iter()
+            .filter(|f| f.outcome != FileOutcome::Timeout)
+            .fold((0, 0), |(ts, bmc), f| {
+                (ts + f.ts_instrumentations(), bmc + f.bmc_instrumentations())
+            });
+        (ts > 0).then(|| 1.0 - bmc as f64 / ts as f64)
+    }
+}
+
+/// The reduction clause of a totals line, e.g. ` (instrumentation
+/// reduction 41.0%)`, naming the timed-out files the reduction leaves
+/// out; empty when there is nothing to report.
+pub fn reduction_note(reduction: Option<f64>, timeouts: usize) -> String {
+    let left_out = match timeouts {
+        0 => String::new(),
+        n => format!(", {n} timed-out file(s) left out"),
+    };
+    match reduction {
+        Some(r) => format!(" (instrumentation reduction {:.1}%{left_out})", r * 100.0),
+        None if timeouts > 0 => format!(" (instrumentation reduction n/a{left_out})"),
+        None => String::new(),
     }
 }
 

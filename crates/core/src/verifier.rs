@@ -742,7 +742,7 @@ impl Verifier {
             // needs); channel variables cost one top-of-file guard.
             let mut intro_sites: std::collections::BTreeMap<
                 webssari_ir::VarId,
-                std::collections::BTreeSet<(String, u32)>,
+                std::collections::BTreeSet<(std::sync::Arc<str>, u32)>,
             > = std::collections::BTreeMap::new();
             for cx in &bmc.counterexamples {
                 for step in &cx.trace {

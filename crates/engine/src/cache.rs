@@ -53,8 +53,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use jsonio::{parse, Value};
-use webssari_core::json::{summary_from_value, summary_to_value};
+use jsonio::{len, parse, Value};
+use webssari_core::json::{summary_from_value, summary_json_len, summary_to_value};
 use webssari_core::{FileOutcome, FileSummary, StoreSummary};
 
 use crate::hash;
@@ -234,9 +234,7 @@ impl Cache {
             return 0;
         }
         let tick = self.next_tick();
-        let approx_bytes = entry_to_value(&summary.file, content_key, &summary)
-            .to_json()
-            .len();
+        let approx_bytes = entry_json_len(&summary.file, content_key, &summary);
         let file = summary.file.clone();
         let entry = CacheEntry {
             content_key,
@@ -288,6 +286,16 @@ impl Cache {
         self.tick += 1;
         self.tick
     }
+}
+
+/// `entry_to_value(..).to_json().len()`, the entry's size in the cache
+/// file, counted without building either.
+fn entry_json_len(file: &str, content_key: u64, summary: &FileSummary) -> usize {
+    len::object(&[
+        ("file", len::string(file)),
+        ("content_key", len::string(&hash::to_hex(content_key))),
+        ("summary", summary_json_len(summary)),
+    ])
 }
 
 fn entry_to_value(file: &str, content_key: u64, summary: &FileSummary) -> Value {
@@ -481,6 +489,7 @@ fn lock(shard: &Mutex<Cache>) -> MutexGuard<'_, Cache> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use webssari_core::Vulnerability;
 
     fn sample_summary(file: &str, outcome: FileOutcome) -> FileSummary {
@@ -767,5 +776,79 @@ mod tests {
             .sum();
         assert_eq!(entry_sum, 10);
         assert_eq!(byte_sum, 1003);
+    }
+
+    /// Text with every character class the JSON writer treats apart:
+    /// quotes, backslashes, named and `\u` escapes, multibyte UTF-8.
+    fn text() -> BoxedStrategy<String> {
+        let ch = prop_oneof![
+            4 => any::<char>(),
+            1 => Just('"'),
+            1 => Just('\\'),
+            1 => Just('\n'),
+            1 => Just('\u{1}'),
+            1 => Just('\u{e9}'),
+            1 => Just('\u{1f600}'),
+        ];
+        prop::collection::vec(ch, 0..10).prop_map(String::from_iter)
+    }
+
+    fn summary() -> BoxedStrategy<FileSummary> {
+        let vulnerability = (
+            text(),
+            text(),
+            prop::collection::vec(text(), 0..3),
+            prop::collection::vec(text(), 0..3),
+            any::<bool>(),
+        )
+            .prop_map(
+                |(class, root_var, symptoms, funcs, parameterize)| Vulnerability {
+                    class,
+                    root_var,
+                    symptoms,
+                    funcs,
+                    parameterize,
+                },
+            );
+        let outcome = prop_oneof![
+            Just(FileOutcome::Verified),
+            Just(FileOutcome::Vulnerable),
+            Just(FileOutcome::Timeout),
+            Just(FileOutcome::ParseError),
+        ];
+        (
+            text(),
+            (any::<usize>(), 0usize..11, 0usize..101, any::<usize>()),
+            prop::collection::vec(vulnerability, 0..3),
+            outcome,
+        )
+            .prop_map(
+                |(file, (stmts, ts, bmc, cx), vulnerabilities, outcome)| FileSummary {
+                    file,
+                    num_statements: stmts,
+                    ts_errors: ts,
+                    bmc_groups: bmc,
+                    counterexamples: cx,
+                    vulnerabilities,
+                    outcome,
+                },
+            )
+            .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The size `insert` charges an entry is its rendering's length,
+        /// so `--cache-max-mb` evicts in the same order as when sizes
+        /// were measured on the rendered JSON.
+        #[test]
+        fn entry_size_is_its_rendered_length(
+            summary in summary(),
+            key in any::<u64>(),
+        ) {
+            let rendered = entry_to_value(&summary.file, key, &summary).to_json().len();
+            prop_assert_eq!(entry_json_len(&summary.file, key, &summary), rendered);
+        }
     }
 }

@@ -202,14 +202,19 @@ impl EngineReport {
         self.vulnerable_files() > 0
     }
 
-    /// The instrumentation reduction BMC achieves over TS (`1 − BMC/TS`),
-    /// `None` when TS reports no errors.
+    /// The instrumentation reduction BMC achieves over TS (`1 − BMC/TS`)
+    /// over the files whose check finished: a timed-out file has TS
+    /// errors but no BMC groups to weigh them against. `None` when those
+    /// files report no TS errors.
     pub fn reduction(&self) -> Option<f64> {
-        let ts = self.ts_errors();
-        if ts == 0 {
-            return None;
-        }
-        Some(1.0 - self.bmc_groups() as f64 / ts as f64)
+        let (ts, bmc) = self
+            .files
+            .iter()
+            .filter(|f| f.summary.outcome != FileOutcome::Timeout)
+            .fold((0, 0), |(ts, bmc), f| {
+                (ts + f.summary.ts_errors, bmc + f.summary.bmc_groups)
+            });
+        (ts > 0).then(|| 1.0 - bmc as f64 / ts as f64)
     }
 
     /// Renders every file's report, one blank line between files —

@@ -15,11 +15,14 @@
 //!   renaming; recursion is cut off at a configurable depth, after which
 //!   calls degrade to the sound "join of arguments" approximation,
 //! * `extract($row)` materializes assignments to variables that are read
-//!   in the program but never assigned (the Figure 2 idiom),
+//!   in the program but never assigned (the Figure 2 idiom); that set is
+//!   computed when lowering reaches the first `extract` call,
 //! * `die(expr)`/`exit(expr)` output their argument (an `echo`-class
 //!   SOC) and then `stop`.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use php_front::ast::{AssignOp, BinOp, Expr, LValue, Param, Program, Stmt, StrPart};
 use php_front::{LineIndex, Span};
@@ -120,12 +123,13 @@ pub fn filter_program_on_demand<'s>(
         prelude,
         options,
         stores: &stores,
-        file: file.to_owned(),
+        file: file.into(),
         src,
         lines: LineIndex::new(src),
+        program,
         out: FProgram::default(),
         funcs: HashMap::new(),
-        unassigned_reads: Vec::new(),
+        unassigned_reads: None,
         used_superglobals: Vec::new(),
         call_counter: 0,
         inline_stack: Vec::new(),
@@ -134,7 +138,6 @@ pub fn filter_program_on_demand<'s>(
         pending_select: None,
     };
     f.collect_functions(&program.stmts);
-    f.collect_unassigned_reads(program);
     let mut scope = Scope::global();
     let mut cmds = Vec::new();
     for stmt in &program.stmts {
@@ -149,7 +152,10 @@ pub fn filter_program_on_demand<'s>(
             var,
             expr: FExpr::Const(level),
             mask: None,
-            site: Site::synthetic(&f.file, &format!("UIC postcondition for ${name}")),
+            site: Site::synthetic(
+                Arc::clone(&f.file),
+                &format!("UIC postcondition for ${name}"),
+            ),
         });
     }
     // Second-order sources: each referenced store cell is initialized at
@@ -180,7 +186,7 @@ pub fn filter_program_on_demand<'s>(
                 var: r.var,
                 expr: FExpr::Const(level),
                 mask: None,
-                site: Site::synthetic(&f.file, &detail),
+                site: Site::synthetic(Arc::clone(&f.file), &detail),
             });
         }
     }
@@ -189,10 +195,11 @@ pub fn filter_program_on_demand<'s>(
     f.out
 }
 
-#[derive(Clone, Debug)]
-struct FuncInfo {
-    params: Vec<Param>,
-    body: Vec<Stmt>,
+/// A user function's declaration, borrowed from the program.
+#[derive(Clone, Copy, Debug)]
+struct FuncInfo<'p> {
+    params: &'p [Param],
+    body: &'p [Stmt],
 }
 
 #[derive(Clone, Debug)]
@@ -223,14 +230,16 @@ struct Filter<'a> {
     options: &'a FilterOptions,
     /// Forces the store summary; see [`Filter::stores`].
     stores: &'a dyn Fn() -> &'a StoreSummary,
-    file: String,
+    file: Arc<str>,
     src: &'a str,
     lines: LineIndex,
+    program: &'a Program,
     out: FProgram,
-    funcs: HashMap<String, FuncInfo>,
+    funcs: HashMap<String, FuncInfo<'a>>,
     /// Variables read somewhere but never assigned anywhere — the
-    /// candidates that `extract()` may define dynamically.
-    unassigned_reads: Vec<String>,
+    /// candidates that `extract()` may define dynamically. Computed at
+    /// the first `extract` call.
+    unassigned_reads: Option<Vec<String>>,
     /// Superglobals read by the program, in first-read order, with
     /// their UIC postcondition levels.
     used_superglobals: Vec<(String, taint_lattice::Elem)>,
@@ -248,7 +257,7 @@ struct Filter<'a> {
     pending_select: Option<String>,
 }
 
-impl Filter<'_> {
+impl<'a> Filter<'a> {
     /// The cross-request store summary. Every consult goes through
     /// here, and the first one may build it.
     fn stores(&self) -> &StoreSummary {
@@ -262,24 +271,19 @@ impl Filter<'_> {
         } else {
             ""
         };
-        Site::new(&self.file, line, span, snippet)
+        Site::new(Arc::clone(&self.file), line, span, snippet)
     }
 
     // ---- pre-passes --------------------------------------------------
 
-    fn collect_functions(&mut self, stmts: &[Stmt]) {
+    fn collect_functions(&mut self, stmts: &'a [Stmt]) {
         for s in stmts {
             match s {
                 Stmt::FuncDecl {
                     name, params, body, ..
                 } => {
-                    self.funcs.insert(
-                        name.to_ascii_lowercase(),
-                        FuncInfo {
-                            params: params.clone(),
-                            body: body.clone(),
-                        },
-                    );
+                    self.funcs
+                        .insert(name.to_ascii_lowercase(), FuncInfo { params, body });
                     self.collect_functions(body);
                 }
                 Stmt::If {
@@ -311,10 +315,24 @@ impl Filter<'_> {
         }
     }
 
-    fn collect_unassigned_reads(&mut self, program: &Program) {
+    /// The variables `extract()` may define, computed on first use.
+    fn unassigned_reads(&mut self) -> &mut Vec<String> {
+        let (program, prelude) = (self.program, self.prelude);
+        self.unassigned_reads
+            .get_or_insert_with(|| Self::collect_unassigned_reads(program, prelude))
+    }
+
+    /// Variables read somewhere in `program` but never assigned anywhere,
+    /// superglobals aside, in first-read order: the candidates that
+    /// `extract()` may define dynamically.
+    fn collect_unassigned_reads(program: &Program, prelude: &Prelude) -> Vec<String> {
         let mut reads: Vec<String> = Vec::new();
-        let mut writes: HashSet<String> = HashSet::new();
-        fn walk_stmts(stmts: &[Stmt], reads: &mut Vec<String>, writes: &mut HashSet<String>) {
+        let mut writes: HashSet<&str> = HashSet::new();
+        fn walk_stmts<'p>(
+            stmts: &'p [Stmt],
+            reads: &mut Vec<String>,
+            writes: &mut HashSet<&'p str>,
+        ) {
             for s in stmts {
                 match s {
                     Stmt::Expr(e, _) => walk_expr(e, reads, writes),
@@ -368,9 +386,9 @@ impl Filter<'_> {
                     } => {
                         walk_expr(array, reads, writes);
                         if let Some(k) = key {
-                            writes.insert(k.clone());
+                            writes.insert(k);
                         }
-                        writes.insert(value.clone());
+                        writes.insert(value);
                         walk_stmts(body, reads, writes);
                     }
                     Stmt::Switch { subject, cases, .. } => {
@@ -384,7 +402,7 @@ impl Filter<'_> {
                     }
                     Stmt::FuncDecl { params, body, .. } => {
                         for p in params {
-                            writes.insert(p.name.clone());
+                            writes.insert(&p.name);
                         }
                         walk_stmts(body, reads, writes);
                     }
@@ -396,11 +414,9 @@ impl Filter<'_> {
                 }
             }
         }
-        fn walk_expr(e: &Expr, reads: &mut Vec<String>, writes: &mut HashSet<String>) {
+        fn walk_expr<'p>(e: &'p Expr, reads: &mut Vec<String>, writes: &mut HashSet<&'p str>) {
             if let Expr::Assign { target, value, .. } = e {
-                for root in target.root_vars() {
-                    writes.insert(root.to_owned());
-                }
+                writes.extend(target.root_vars());
                 walk_expr(value, reads, writes);
                 if let LValue::ArrayElem { index: Some(i), .. } = target {
                     walk_expr(i, reads, writes);
@@ -442,11 +458,10 @@ impl Filter<'_> {
         }
         walk_stmts(&program.stmts, &mut reads, &mut writes);
         let mut seen = HashSet::new();
-        for r in reads {
-            if !writes.contains(&r) && !self.prelude.is_superglobal(&r) && seen.insert(r.clone()) {
-                self.unassigned_reads.push(r);
-            }
-        }
+        reads.retain(|r| {
+            !writes.contains(r.as_str()) && !prelude.is_superglobal(r) && seen.insert(r.clone())
+        });
+        reads
     }
 
     // ---- variable resolution ------------------------------------------
@@ -501,7 +516,7 @@ impl Filter<'_> {
         if name == "_SESSION" && self.stores().entry("_SESSION").is_some() {
             // A session read is a store read once the summary models any
             // session write; otherwise it stays a plain variable (legacy).
-            let site = Site::synthetic(&self.file, "read of $_SESSION");
+            let site = Site::synthetic(Arc::clone(&self.file), "read of $_SESSION");
             return self.store_read_expr("_SESSION", site);
         }
         FExpr::Var(self.resolve(scope, name))
@@ -792,8 +807,7 @@ impl Filter<'_> {
                         let Some(root) = item.root_var() else {
                             continue;
                         };
-                        let root = root.to_owned();
-                        let var = self.resolve(scope, &root);
+                        let var = self.resolve(scope, root);
                         let weak = !matches!(item, LValue::Var(_));
                         let expr = if weak {
                             FExpr::Join(vec![FExpr::Var(var), v.clone()])
@@ -812,8 +826,7 @@ impl Filter<'_> {
                 let Some(root) = target.root_var() else {
                     return v; // unresolvable target: value still flows
                 };
-                let root = root.to_owned();
-                let mut var = self.resolve(scope, &root);
+                let mut var = self.resolve(scope, root);
                 let mut weak = !matches!(op, AssignOp::Assign) || !matches!(target, LValue::Var(_));
                 if let LValue::ArrayElem {
                     var: base,
@@ -886,14 +899,10 @@ impl Filter<'_> {
                 }
                 FExpr::Var(var)
             }
-            Expr::IncDec { target } => {
-                let root = target.root_var().unwrap_or_default().to_owned();
-                if root.is_empty() {
-                    FExpr::Const(self.prelude.bottom())
-                } else {
-                    self.var_read(scope, &root)
-                }
-            }
+            Expr::IncDec { target } => match target.root_var() {
+                Some(root) if !root.is_empty() => self.var_read(scope, root),
+                _ => FExpr::Const(self.prelude.bottom()),
+            },
         }
     }
 
@@ -909,9 +918,16 @@ impl Filter<'_> {
             .iter()
             .map(|a| self.lower_expr(a, scope, out))
             .collect();
-        let lower = name.to_ascii_lowercase();
+        // Prelude and function names are keyed in lowercase; most calls
+        // already are.
+        let lower = if name.bytes().any(|b| b.is_ascii_uppercase()) {
+            Cow::Owned(name.to_ascii_lowercase())
+        } else {
+            Cow::Borrowed(name)
+        };
+        let lower = lower.as_ref();
 
-        if let Some(keep) = self.prelude.sanitizer_mask(&lower) {
+        if let Some(keep) = self.prelude.sanitizer_mask(lower) {
             // Kind-removing sanitizer: materialize a temp assignment
             // `tmp := join(args) ⊓ keep` so the mask survives nesting.
             let k = self.call_counter;
@@ -925,7 +941,7 @@ impl Filter<'_> {
             });
             return FExpr::Var(tmp);
         }
-        if let Some(level) = self.prelude.sanitizer_level(&lower) {
+        if let Some(level) = self.prelude.sanitizer_level(lower) {
             // Materialize the sanitizer's result as a temp so downstream
             // diagnostics can tell whether it ever reaches a sink.
             let k = self.call_counter;
@@ -939,7 +955,7 @@ impl Filter<'_> {
             });
             return FExpr::Var(tmp);
         }
-        if let Some(level) = self.prelude.uic_level(&lower) {
+        if let Some(level) = self.prelude.uic_level(lower) {
             // Second-order store reads: a fetch through a resolved
             // SELECT handle (or nested directly in the query call)
             // observes the store cell instead of the blanket ⊤ channel.
@@ -968,16 +984,17 @@ impl Filter<'_> {
             }
             return FExpr::Const(level);
         }
-        if self.prelude.soc(&lower).is_some() {
-            self.lower_soc_call(&lower, args, &arg_fs, span, scope, out);
+        if self.prelude.soc(lower).is_some() {
+            self.lower_soc_call(lower, args, &arg_fs, span, scope, out);
             return FExpr::Const(self.prelude.bottom());
         }
         if lower == "extract" {
             // `extract($row)` defines variables dynamically; materialize
             // assignments to every read-but-never-assigned variable.
             let source = FExpr::Join(arg_fs);
-            for name in self.unassigned_reads.clone() {
-                let var = self.resolve(scope, &name);
+            let names = std::mem::take(self.unassigned_reads());
+            for name in &names {
+                let var = self.resolve(scope, name);
                 out.push(FCmd::Assign {
                     var,
                     expr: source.clone(),
@@ -985,19 +1002,20 @@ impl Filter<'_> {
                     site: self.site(span),
                 });
             }
+            self.unassigned_reads = Some(names);
             return FExpr::Const(self.prelude.bottom());
         }
-        if self.prelude.returns_trusted(&lower) {
+        if self.prelude.returns_trusted(lower) {
             return FExpr::Const(self.prelude.bottom());
         }
-        if let Some(info) = self.funcs.get(&lower).cloned() {
+        if let Some(&info) = self.funcs.get(lower) {
             let depth = self
                 .inline_stack
                 .iter()
                 .filter(|f| f.as_str() == lower)
                 .count();
             if depth < self.options.max_inline_depth {
-                return self.inline_function(&lower, &info, args, arg_fs, span, scope, out);
+                return self.inline_function(lower, info, args, arg_fs, span, scope, out);
             }
             // Depth cutoff: the call degrades to join-of-arguments; record
             // the exact call site so diagnostics can point at it.
@@ -1115,7 +1133,7 @@ impl Filter<'_> {
     fn inline_function(
         &mut self,
         name: &str,
-        info: &FuncInfo,
+        info: FuncInfo<'a>,
         args: &[Expr],
         arg_fs: Vec<FExpr>,
         call_span: Span,
@@ -1139,7 +1157,7 @@ impl Filter<'_> {
             let expr = match arg_fs.get(i) {
                 Some(a) => a.clone(),
                 None => match &p.default {
-                    Some(d) => self.lower_expr(&d.clone(), &mut callee_scope, out),
+                    Some(d) => self.lower_expr(d, &mut callee_scope, out),
                     None => FExpr::Const(self.prelude.bottom()),
                 },
             };
@@ -1158,8 +1176,8 @@ impl Filter<'_> {
             site: self.site(call_span),
         });
         self.inline_stack.push(name.to_owned());
-        for s in info.body.clone() {
-            self.lower_stmt(&s, &mut callee_scope, out);
+        for s in info.body {
+            self.lower_stmt(s, &mut callee_scope, out);
         }
         self.inline_stack.pop();
         // Copy back by-reference parameters.
@@ -1869,6 +1887,6 @@ mod tests {
         assert!(p.cmds[0].site().is_synthetic());
         assert_eq!(p.cmds[1].site().line, 2);
         assert_eq!(p.cmds[2].site().line, 3);
-        assert_eq!(p.cmds[2].site().file, "test.php");
+        assert_eq!(&*p.cmds[2].site().file, "test.php");
     }
 }

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::Arc;
 
 use php_front::Span;
 
@@ -6,7 +7,9 @@ use php_front::Span;
 ///
 /// Sites survive filtering, abstract interpretation, renaming, and
 /// constraint generation, so counterexample traces and runtime-guard
-/// insertions can point back at concrete `file:line` locations.
+/// insertions can point back at concrete `file:line` locations. The
+/// file name and snippet are shared, so copying a site along the
+/// pipeline costs two reference-count increments.
 ///
 /// # Examples
 ///
@@ -20,13 +23,13 @@ use php_front::Span;
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Site {
     /// Source file name.
-    pub file: String,
+    pub file: Arc<str>,
     /// 1-based line number.
     pub line: u32,
     /// Byte span in the file.
     pub span: Span,
     /// A short source snippet for reports.
-    pub snippet: String,
+    pub snippet: Arc<str>,
 }
 
 impl Site {
@@ -34,13 +37,13 @@ impl Site {
     pub const MAX_SNIPPET: usize = 80;
 
     /// Creates a site, truncating the snippet to [`Site::MAX_SNIPPET`].
-    pub fn new(file: impl Into<String>, line: u32, span: Span, snippet: &str) -> Self {
+    pub fn new(file: impl Into<Arc<str>>, line: u32, span: Span, snippet: &str) -> Self {
         let snippet = snippet.trim();
-        let snippet = if snippet.chars().count() > Self::MAX_SNIPPET {
+        let snippet: Arc<str> = if snippet.chars().count() > Self::MAX_SNIPPET {
             let cut: String = snippet.chars().take(Self::MAX_SNIPPET - 1).collect();
-            format!("{cut}…")
+            format!("{cut}…").into()
         } else {
-            snippet.to_owned()
+            snippet.into()
         };
         Site {
             file: file.into(),
@@ -52,12 +55,12 @@ impl Site {
 
     /// A synthetic site for commands with no direct source location
     /// (e.g. implicit parameter-binding assignments).
-    pub fn synthetic(file: impl Into<String>, detail: &str) -> Self {
+    pub fn synthetic(file: impl Into<Arc<str>>, detail: &str) -> Self {
         Site {
             file: file.into(),
             line: 0,
             span: Span::default(),
-            snippet: detail.to_owned(),
+            snippet: detail.into(),
         }
     }
 
@@ -92,7 +95,7 @@ mod tests {
     #[test]
     fn snippet_is_trimmed() {
         let s = Site::new("f.php", 1, Span::default(), "  echo $x;  ");
-        assert_eq!(s.snippet, "echo $x;");
+        assert_eq!(&*s.snippet, "echo $x;");
     }
 
     #[test]

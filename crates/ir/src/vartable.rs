@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned program variable in the information-flow model.
 ///
@@ -36,6 +37,9 @@ impl fmt::Display for VarId {
 
 /// Interns variable names to [`VarId`]s and back.
 ///
+/// Each name is stored once, shared by both directions, so cloning a
+/// table copies no text.
+///
 /// # Examples
 ///
 /// ```
@@ -49,8 +53,8 @@ impl fmt::Display for VarId {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct VarTable {
-    names: Vec<String>,
-    ids: HashMap<String, VarId>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, VarId>,
 }
 
 impl VarTable {
@@ -65,8 +69,9 @@ impl VarTable {
             return id;
         }
         let id = VarId(u32::try_from(self.names.len()).expect("too many variables"));
-        self.names.push(name.to_owned());
-        self.ids.insert(name.to_owned(), id);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         id
     }
 

@@ -132,6 +132,61 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Lengths of compact JSON renderings, counted without rendering: each
+/// function gives the `to_json().len()` of the matching [`Value`].
+///
+/// # Examples
+///
+/// ```
+/// use jsonio::{len, Value};
+///
+/// let v = Value::obj(vec![("k", Value::str("a\"b")), ("n", Value::Num(42))]);
+/// let n = len::object(&[("k", len::string("a\"b")), ("n", len::number(42))]);
+/// assert_eq!(n, v.to_json().len());
+/// ```
+pub mod len {
+    /// A string, quotes and escapes included.
+    pub fn string(s: &str) -> usize {
+        // Escapes only replace ASCII bytes, so a byte walk is exact.
+        2 + s
+            .bytes()
+            .map(|b| match b {
+                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+                0..=0x1f => 6,
+                _ => 1,
+            })
+            .sum::<usize>()
+    }
+
+    /// A number.
+    pub fn number(n: u64) -> usize {
+        n.checked_ilog10().map_or(1, |d| d as usize + 1)
+    }
+
+    /// `true` or `false`.
+    pub fn boolean(b: bool) -> usize {
+        if b {
+            4
+        } else {
+            5
+        }
+    }
+
+    /// An array of values of the given lengths.
+    pub fn array(items: impl IntoIterator<Item = usize>) -> usize {
+        let (count, total) = items
+            .into_iter()
+            .fold((0usize, 0), |(count, total), n| (count + 1, total + n));
+        2 + total + count.saturating_sub(1)
+    }
+
+    /// An object whose values have the given lengths.
+    pub fn object(fields: &[(&str, usize)]) -> usize {
+        let pairs: usize = fields.iter().map(|(k, v)| string(k) + 1 + v).sum();
+        2 + pairs + fields.len().saturating_sub(1)
+    }
+}
+
 /// Parses a JSON document. Returns `None` on any syntax error or on
 /// trailing non-whitespace — a corrupt cache file simply reads as
 /// empty.
@@ -303,6 +358,36 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lengths_match_renderings() {
+        for s in [
+            "",
+            "plain",
+            "q\"b\\s",
+            "\n\r\t\u{1}\u{1f}",
+            "\u{e9}\u{2603}\u{1f600}",
+        ] {
+            assert_eq!(len::string(s), Value::str(s).to_json().len(), "{s:?}");
+        }
+        for n in [0, 9, 10, 99, 100, 12_345, u64::MAX] {
+            assert_eq!(len::number(n), Value::Num(n).to_json().len(), "{n}");
+        }
+        for b in [true, false] {
+            assert_eq!(len::boolean(b), Value::Bool(b).to_json().len());
+        }
+        assert_eq!(len::array([]), Value::Arr(vec![]).to_json().len());
+        assert_eq!(len::object(&[]), Value::obj(vec![]).to_json().len());
+        let nested = Value::obj(vec![
+            ("a", Value::Arr(vec![Value::Num(1), Value::str("x")])),
+            ("b\"", Value::Bool(false)),
+        ]);
+        let counted = len::object(&[
+            ("a", len::array([len::number(1), len::string("x")])),
+            ("b\"", len::boolean(false)),
+        ]);
+        assert_eq!(counted, nested.to_json().len());
+    }
 
     #[test]
     fn writes_compact_json() {

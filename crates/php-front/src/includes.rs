@@ -168,18 +168,21 @@ impl Resolver<'_> {
             file: name.to_owned(),
             error,
         })?;
+        let mut stmts = program.stmts;
         self.stack.push(name.to_owned());
-        let out = self.resolve_stmts(program.stmts, name);
+        let out = self.resolve_stmts(&mut stmts, name);
         self.stack.pop();
-        out
+        out.map(|()| stmts)
     }
 
-    fn resolve_stmts(&mut self, stmts: Vec<Stmt>, file: &str) -> Result<Vec<Stmt>, IncludeError> {
-        let mut out = Vec::with_capacity(stmts.len());
-        for stmt in stmts {
-            match stmt {
+    /// Splices included files into `stmts`, in place and in source
+    /// order; bodies without includes are left as they are.
+    fn resolve_stmts(&mut self, stmts: &mut Vec<Stmt>, file: &str) -> Result<(), IncludeError> {
+        let mut i = 0;
+        while i < stmts.len() {
+            match &mut stmts[i] {
                 Stmt::Include { kind, path, span } => {
-                    let target = match const_string(&path) {
+                    let target = match const_string(path) {
                         Some(t) => t,
                         None => {
                             return Err(IncludeError::DynamicIncludePath {
@@ -195,97 +198,50 @@ impl Resolver<'_> {
                         && (self.once_done.contains(&target)
                             || self.stack.iter().any(|f| f == &target))
                     {
-                        out.push(Stmt::Nop(span));
+                        stmts[i] = Stmt::Nop(*span);
+                        i += 1;
                         continue;
                     }
                     if once {
                         self.once_done.insert(target.clone());
                     }
-                    out.extend(self.resolve_file(&target, Some(file))?);
+                    // The included statements are resolved already.
+                    let included = self.resolve_file(&target, Some(file))?;
+                    let n = included.len();
+                    stmts.splice(i..=i, included);
+                    i += n;
+                    continue;
                 }
                 Stmt::If {
-                    cond,
                     then_branch,
                     elseifs,
                     else_branch,
-                    span,
-                } => out.push(Stmt::If {
-                    cond,
-                    then_branch: self.resolve_stmts(then_branch, file)?,
-                    elseifs: elseifs
-                        .into_iter()
-                        .map(|(c, b)| Ok((c, self.resolve_stmts(b, file)?)))
-                        .collect::<Result<_, IncludeError>>()?,
-                    else_branch: match else_branch {
-                        Some(b) => Some(self.resolve_stmts(b, file)?),
-                        None => None,
-                    },
-                    span,
-                }),
-                Stmt::While { cond, body, span } => out.push(Stmt::While {
-                    cond,
-                    body: self.resolve_stmts(body, file)?,
-                    span,
-                }),
-                Stmt::DoWhile { body, cond, span } => out.push(Stmt::DoWhile {
-                    body: self.resolve_stmts(body, file)?,
-                    cond,
-                    span,
-                }),
-                Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    span,
-                } => out.push(Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body: self.resolve_stmts(body, file)?,
-                    span,
-                }),
-                Stmt::Foreach {
-                    array,
-                    key,
-                    value,
-                    body,
-                    span,
-                } => out.push(Stmt::Foreach {
-                    array,
-                    key,
-                    value,
-                    body: self.resolve_stmts(body, file)?,
-                    span,
-                }),
-                Stmt::Switch {
-                    subject,
-                    cases,
-                    span,
-                } => out.push(Stmt::Switch {
-                    subject,
-                    cases: cases
-                        .into_iter()
-                        .map(|(l, b)| Ok((l, self.resolve_stmts(b, file)?)))
-                        .collect::<Result<_, IncludeError>>()?,
-                    span,
-                }),
-                Stmt::FuncDecl {
-                    name,
-                    params,
-                    body,
-                    span,
-                } => out.push(Stmt::FuncDecl {
-                    name,
-                    params,
-                    body: self.resolve_stmts(body, file)?,
-                    span,
-                }),
-                Stmt::Block(body) => out.push(Stmt::Block(self.resolve_stmts(body, file)?)),
-                other => out.push(other),
+                    ..
+                } => {
+                    self.resolve_stmts(then_branch, file)?;
+                    for (_, b) in elseifs {
+                        self.resolve_stmts(b, file)?;
+                    }
+                    if let Some(b) = else_branch {
+                        self.resolve_stmts(b, file)?;
+                    }
+                }
+                Stmt::While { body, .. }
+                | Stmt::DoWhile { body, .. }
+                | Stmt::For { body, .. }
+                | Stmt::Foreach { body, .. }
+                | Stmt::FuncDecl { body, .. }
+                | Stmt::Block(body) => self.resolve_stmts(body, file)?,
+                Stmt::Switch { cases, .. } => {
+                    for (_, b) in cases {
+                        self.resolve_stmts(b, file)?;
+                    }
+                }
+                _ => {}
             }
+            i += 1;
         }
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -2,13 +2,17 @@ use crate::error::ParseError;
 use crate::span::Span;
 use crate::token::{StrPart, Token, TokenKind};
 
-/// Tokenizes PHP source text.
+/// Tokenizes PHP source text on demand.
 ///
-/// The lexer starts in HTML mode, emitting [`TokenKind::InlineHtml`] for
-/// text outside `<?php … ?>` regions. Inside PHP mode it produces the
-/// token stream the [`Parser`](crate::Parser) consumes; a closing `?>`
-/// tag is emitted as an implicit semicolon (matching PHP, where `?>`
+/// The lexer starts in HTML mode, yielding [`TokenKind::InlineHtml`] for
+/// text outside `<?php … ?>` regions. Inside PHP mode it yields the
+/// tokens the [`Parser`](crate::Parser) consumes; a closing `?>` tag is
+/// yielded as an implicit semicolon (matching PHP, where `?>`
 /// terminates the current statement).
+///
+/// As an [`Iterator`] it yields every token through a final
+/// [`TokenKind::Eof`], or up to and including the first error, and then
+/// ends. Names and undecorated string literals borrow from the source.
 ///
 /// # Examples
 ///
@@ -16,24 +20,41 @@ use crate::token::{StrPart, Token, TokenKind};
 /// use php_front::{Lexer, TokenKind};
 ///
 /// let tokens = Lexer::new("<?php echo $x; ?>").tokenize()?;
-/// assert!(matches!(tokens[0].kind, TokenKind::Ident(_)));
-/// assert!(matches!(tokens[1].kind, TokenKind::Variable(_)));
+/// assert_eq!(tokens[0].kind, TokenKind::Ident("echo"));
+/// assert_eq!(tokens[1].kind, TokenKind::Variable("x"));
 /// # Ok::<(), php_front::ParseError>(())
 /// ```
 #[derive(Debug)]
-pub struct Lexer<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
+pub struct Lexer<'src> {
+    src: &'src str,
+    bytes: &'src [u8],
     pos: usize,
+    mode: Mode,
+    /// The `echo` a `<?=` tag stands for, due after the HTML before it.
+    pending: Option<Token<'src>>,
 }
 
-impl<'a> Lexer<'a> {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// Before the next open tag.
+    Html,
+    /// Between an open tag and `?>`.
+    Php,
+    /// Input exhausted: the next token is `Eof`.
+    End,
+    /// `Eof` or an error has been yielded.
+    Done,
+}
+
+impl<'src> Lexer<'src> {
     /// Creates a lexer over `source`.
-    pub fn new(source: &'a str) -> Self {
+    pub fn new(source: &'src str) -> Self {
         Lexer {
             src: source,
             bytes: source.as_bytes(),
             pos: 0,
+            mode: Mode::Html,
+            pending: None,
         }
     }
 
@@ -43,22 +64,68 @@ impl<'a> Lexer<'a> {
     ///
     /// Returns a [`ParseError`] on malformed input (unterminated string
     /// or comment, stray characters).
-    pub fn tokenize(mut self) -> Result<Vec<Token>, ParseError> {
-        let mut tokens = Vec::new();
-        // HTML mode until the first open tag, alternating afterwards.
+    pub fn tokenize(self) -> Result<Vec<Token<'src>>, ParseError> {
+        self.collect()
+    }
+
+    /// The next token; [`TokenKind::Eof`] once the input is exhausted.
+    fn next_token(&mut self) -> Result<Token<'src>, ParseError> {
+        if let Some(t) = self.pending.take() {
+            return Ok(t);
+        }
         loop {
-            self.lex_html(&mut tokens);
-            if self.at_end() {
-                break;
-            }
-            // We are just past an open tag; lex PHP until `?>` or EOF.
-            let reentered_html = self.lex_php(&mut tokens)?;
-            if !reentered_html {
-                break;
+            match self.mode {
+                Mode::Html => {
+                    let (html, echo) = self.lex_html();
+                    self.mode = if self.at_end() { Mode::End } else { Mode::Php };
+                    match html {
+                        Some(h) => {
+                            self.pending = echo;
+                            return Ok(h);
+                        }
+                        None => {
+                            if let Some(e) = echo {
+                                return Ok(e);
+                            }
+                        }
+                    }
+                }
+                Mode::Php => {
+                    self.skip_whitespace_and_comments()?;
+                    if self.at_end() {
+                        self.mode = Mode::End;
+                        continue;
+                    }
+                    if self.starts_with("?>") {
+                        let span = Span::new(self.pos as u32, self.pos as u32 + 2);
+                        self.pos += 2;
+                        // PHP treats `?>` as a statement terminator; skip
+                        // one newline directly after it, as PHP does.
+                        if self.peek() == b'\n' {
+                            self.pos += 1;
+                        }
+                        self.mode = Mode::Html;
+                        return Ok(Token::new(TokenKind::Semicolon, span));
+                    }
+                    let start = self.pos;
+                    let kind = match self.peek() {
+                        b'$' => self.lex_variable()?,
+                        b'\'' => self.lex_single_quoted()?,
+                        b'"' => self.lex_double_quoted()?,
+                        b'<' if self.starts_with("<<<") => self.lex_heredoc()?,
+                        b'0'..=b'9' => self.lex_number()?,
+                        b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                            TokenKind::Ident(self.take_ident_text())
+                        }
+                        _ => self.lex_operator()?,
+                    };
+                    return Ok(Token::new(kind, Span::new(start as u32, self.pos as u32)));
+                }
+                Mode::End | Mode::Done => {
+                    return Ok(Token::new(TokenKind::Eof, Span::point(self.pos as u32)))
+                }
             }
         }
-        tokens.push(Token::new(TokenKind::Eof, Span::point(self.pos as u32)));
-        Ok(tokens)
     }
 
     fn at_end(&self) -> bool {
@@ -86,81 +153,43 @@ impl<'a> Lexer<'a> {
     }
 
     /// Consumes HTML text until an opening tag (which is also consumed)
-    /// or end of input.
-    fn lex_html(&mut self, tokens: &mut Vec<Token>) {
+    /// or end of input. Returns the HTML token, if the text is
+    /// nonempty, and the `echo` a `<?=` tag stands for.
+    fn lex_html(&mut self) -> (Option<Token<'src>>, Option<Token<'src>>) {
         let start = self.pos;
-        let mut html_end = self.bytes.len();
-        let mut open_len = 0usize;
-        let mut emit_echo = false;
-        let rest = &self.bytes[self.pos..];
-        if let Some(i) = rest.windows(2).position(|w| w == b"<?") {
-            html_end = self.pos + i;
-            let after = &rest[i..];
-            if after.starts_with(b"<?php") {
-                open_len = 5;
-            } else if after.starts_with(b"<?=") {
-                open_len = 3;
-                emit_echo = true;
-            } else {
-                open_len = 2;
-            }
-        }
-        if html_end > start {
-            tokens.push(Token::new(
-                TokenKind::InlineHtml(
-                    String::from_utf8_lossy(&self.bytes[start..html_end]).into_owned(),
-                ),
-                Span::new(start as u32, html_end as u32),
-            ));
-        }
-        self.pos = html_end + open_len;
-        if emit_echo {
-            tokens.push(Token::new(
-                TokenKind::Ident("echo".to_owned()),
-                Span::new(html_end as u32, self.pos as u32),
-            ));
-        }
-        if open_len == 0 {
-            self.pos = self.bytes.len();
-        }
-    }
-
-    /// Lexes PHP tokens until `?>` (returns `true`) or EOF (`false`).
-    fn lex_php(&mut self, tokens: &mut Vec<Token>) -> Result<bool, ParseError> {
-        loop {
-            self.skip_whitespace_and_comments()?;
-            if self.at_end() {
-                return Ok(false);
-            }
-            if self.starts_with("?>") {
-                let span = Span::new(self.pos as u32, self.pos as u32 + 2);
-                self.pos += 2;
-                // PHP treats `?>` as a statement terminator; skip one
-                // newline directly after it, as PHP does.
-                if self.peek() == b'\n' {
-                    self.pos += 1;
+        let rest = &self.bytes[start..];
+        let (html_end, open_len, is_echo) = match rest.windows(2).position(|w| w == b"<?") {
+            Some(i) => {
+                let after = &rest[i..];
+                if after.starts_with(b"<?php") {
+                    (start + i, 5, false)
+                } else if after.starts_with(b"<?=") {
+                    (start + i, 3, true)
+                } else {
+                    (start + i, 2, false)
                 }
-                tokens.push(Token::new(TokenKind::Semicolon, span));
-                return Ok(true);
             }
-            let start = self.pos;
-            let b = self.peek();
-            let kind = match b {
-                b'$' => self.lex_variable()?,
-                b'\'' => self.lex_single_quoted()?,
-                b'"' => self.lex_double_quoted()?,
-                b'<' if self.starts_with("<<<") => self.lex_heredoc()?,
-                b'0'..=b'9' => self.lex_number()?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_ident(),
-                _ => self.lex_operator()?,
-            };
-            tokens.push(Token::new(kind, Span::new(start as u32, self.pos as u32)));
-        }
+            None => (self.bytes.len(), 0, false),
+        };
+        let html = (html_end > start).then(|| {
+            Token::new(
+                TokenKind::InlineHtml(&self.src[start..html_end]),
+                Span::new(start as u32, html_end as u32),
+            )
+        });
+        self.pos = html_end + open_len;
+        let echo = is_echo.then(|| {
+            Token::new(
+                TokenKind::Ident("echo"),
+                Span::new(html_end as u32, self.pos as u32),
+            )
+        });
+        (html, echo)
     }
 
     fn skip_whitespace_and_comments(&mut self) -> Result<(), ParseError> {
         loop {
-            while !self.at_end() && (self.peek() as char).is_ascii_whitespace() {
+            while self.peek().is_ascii_whitespace() {
                 self.pos += 1;
             }
             if self.starts_with("//") || self.peek() == b'#' {
@@ -187,7 +216,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_variable(&mut self) -> Result<TokenKind, ParseError> {
+    fn lex_variable(&mut self) -> Result<TokenKind<'src>, ParseError> {
         let start = self.pos;
         self.bump(); // $
         let name = self.take_ident_text();
@@ -200,19 +229,15 @@ impl<'a> Lexer<'a> {
         Ok(TokenKind::Variable(name))
     }
 
-    fn take_ident_text(&mut self) -> String {
+    fn take_ident_text(&mut self) -> &'src str {
         let start = self.pos;
         while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_') {
             self.pos += 1;
         }
-        self.src[start..self.pos].to_owned()
+        &self.src[start..self.pos]
     }
 
-    fn lex_ident(&mut self) -> TokenKind {
-        TokenKind::Ident(self.take_ident_text())
-    }
-
-    fn lex_number(&mut self) -> Result<TokenKind, ParseError> {
+    fn lex_number(&mut self) -> Result<TokenKind<'src>, ParseError> {
         let start = self.pos;
         if self.starts_with("0x") || self.starts_with("0X") {
             self.pos += 2;
@@ -272,60 +297,76 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_single_quoted(&mut self) -> Result<TokenKind, ParseError> {
+    fn lex_single_quoted(&mut self) -> Result<TokenKind<'src>, ParseError> {
         let start = self.pos;
         self.bump(); // '
+        let body = self.pos;
+        // Escapes copy the text; a literal without any stays borrowed.
         let mut text = String::new();
+        let mut run = self.pos;
         loop {
             if self.at_end() {
-                return Err(ParseError::new(
-                    "unterminated string literal",
-                    Span::new(start as u32, self.pos as u32),
-                ));
+                return Err(unterminated_string(start, self.pos));
             }
             match self.bump() {
                 b'\'' => break,
-                b'\\' => match self.bump() {
-                    b'\'' => text.push('\''),
-                    b'\\' => text.push('\\'),
-                    other => {
+                b'\\' => {
+                    text.push_str(&self.src[run..self.pos - 1]);
+                    if self.at_end() {
+                        // The escaped byte would lie one past the input.
+                        return Err(unterminated_string(start, self.pos + 1));
+                    }
+                    match self.peek() {
+                        q @ (b'\'' | b'\\') => {
+                            text.push(q as char);
+                            self.pos += 1;
+                        }
                         // PHP keeps unknown escapes verbatim in
                         // single-quoted strings.
-                        text.push('\\');
-                        text.push(other as char);
+                        _ => text.push('\\'),
                     }
-                },
-                other => text.push(other as char),
+                    run = self.pos;
+                }
+                _ => {}
             }
         }
+        let end = self.pos - 1;
+        if text.is_empty() {
+            return Ok(TokenKind::PlainString(&self.src[body..end]));
+        }
+        text.push_str(&self.src[run..end]);
         Ok(TokenKind::StringLit(vec![StrPart::Lit(text)]))
     }
 
-    fn lex_double_quoted(&mut self) -> Result<TokenKind, ParseError> {
+    fn lex_double_quoted(&mut self) -> Result<TokenKind<'src>, ParseError> {
         let start = self.pos;
         self.bump(); // "
+        let body = self.pos;
         let mut parts: Vec<StrPart> = Vec::new();
+        // Literal text since the last part; `run` starts the stretch not
+        // yet copied into it.
         let mut text = String::new();
-        let flush = |text: &mut String, parts: &mut Vec<StrPart>| {
+        let mut run = self.pos;
+        let flush = |text: &mut String, parts: &mut Vec<StrPart>, tail: &str| {
+            text.push_str(tail);
             if !text.is_empty() {
                 parts.push(StrPart::Lit(std::mem::take(text)));
             }
         };
         loop {
             if self.at_end() {
-                return Err(ParseError::new(
-                    "unterminated string literal",
-                    Span::new(start as u32, self.pos as u32),
-                ));
+                return Err(unterminated_string(start, self.pos));
             }
             match self.peek() {
-                b'"' => {
-                    self.pos += 1;
-                    break;
-                }
+                b'"' => break,
                 b'\\' => {
+                    text.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
-                    let esc = self.bump();
+                    if self.at_end() {
+                        // The escaped byte would lie one past the input.
+                        return Err(unterminated_string(start, self.pos + 1));
+                    }
+                    let esc = self.peek();
                     match esc {
                         b'n' => text.push('\n'),
                         b't' => text.push('\t'),
@@ -336,47 +377,41 @@ impl<'a> Lexer<'a> {
                         b'0' => text.push('\0'),
                         other => {
                             text.push('\\');
-                            text.push(other as char);
+                            if other.is_ascii() {
+                                text.push(other as char);
+                            }
                         }
                     }
+                    // A non-ASCII character after an unknown escape
+                    // stays in the literal run.
+                    if esc.is_ascii() {
+                        self.pos += 1;
+                    }
+                    run = self.pos;
                 }
                 b'$' if matches!(self.peek_at(1), b'a'..=b'z' | b'A'..=b'Z' | b'_') => {
-                    flush(&mut text, &mut parts);
+                    flush(&mut text, &mut parts, &self.src[run..self.pos]);
                     self.pos += 1;
-                    let name = self.take_ident_text();
-                    // Simple `$arr[index]` interpolation.
-                    if self.peek() == b'[' {
-                        let save = self.pos;
-                        self.pos += 1;
-                        let idx_start = self.pos;
-                        while !self.at_end() && self.peek() != b']' && self.peek() != b'"' {
-                            self.pos += 1;
-                        }
-                        if self.peek() == b']' {
-                            let index = self.src[idx_start..self.pos].trim_matches('\'').to_owned();
-                            self.pos += 1;
-                            parts.push(StrPart::ArrayVar { var: name, index });
-                            continue;
-                        }
-                        self.pos = save;
-                    }
-                    parts.push(StrPart::Var(name));
+                    let name = self.take_ident_text().to_owned();
+                    parts.push(self.interpolated_index(name));
+                    run = self.pos;
                 }
                 b'$' if self.peek_at(1) == b'{' => {
                     // `${name}` interpolation.
-                    flush(&mut text, &mut parts);
+                    flush(&mut text, &mut parts, &self.src[run..self.pos]);
                     self.pos += 2;
-                    let name = self.take_ident_text();
+                    let name = self.take_ident_text().to_owned();
                     if self.peek() == b'}' {
                         self.pos += 1;
                     }
                     parts.push(StrPart::Var(name));
+                    run = self.pos;
                 }
                 b'{' if self.peek_at(1) == b'$' => {
                     // `{$name}` or `{$arr['k']}` interpolation.
-                    flush(&mut text, &mut parts);
+                    flush(&mut text, &mut parts, &self.src[run..self.pos]);
                     self.pos += 2;
-                    let name = self.take_ident_text();
+                    let name = self.take_ident_text().to_owned();
                     if self.peek() == b'[' {
                         self.pos += 1;
                         let idx_start = self.pos;
@@ -394,22 +429,49 @@ impl<'a> Lexer<'a> {
                     if self.peek() == b'}' {
                         self.pos += 1;
                     }
+                    run = self.pos;
                 }
-                other => {
-                    text.push(other as char);
-                    self.pos += 1;
-                }
+                _ => self.pos += 1,
             }
         }
-        if !text.is_empty() {
-            parts.push(StrPart::Lit(text));
+        let end = self.pos;
+        self.pos += 1; // "
+        if parts.is_empty() && text.is_empty() {
+            // Nothing escaped or interpolated (every escape adds text).
+            return Ok(if end > body {
+                TokenKind::PlainString(&self.src[body..end])
+            } else {
+                TokenKind::StringLit(Vec::new())
+            });
         }
+        flush(&mut text, &mut parts, &self.src[run..end]);
         Ok(TokenKind::StringLit(parts))
+    }
+
+    /// After `$name` in a double-quoted string: a simple `$arr[index]`
+    /// interpolation if a `]` closes it before the string does, else
+    /// the plain variable.
+    fn interpolated_index(&mut self, name: String) -> StrPart {
+        if self.peek() == b'[' {
+            let save = self.pos;
+            self.pos += 1;
+            let idx_start = self.pos;
+            while !self.at_end() && self.peek() != b']' && self.peek() != b'"' {
+                self.pos += 1;
+            }
+            if self.peek() == b']' {
+                let index = self.src[idx_start..self.pos].trim_matches('\'').to_owned();
+                self.pos += 1;
+                return StrPart::ArrayVar { var: name, index };
+            }
+            self.pos = save;
+        }
+        StrPart::Var(name)
     }
 
     /// Heredoc strings: `<<<EOT … EOT;` (interpolating) and the
     /// single-quoted nowdoc form `<<<'EOT'` (literal).
-    fn lex_heredoc(&mut self) -> Result<TokenKind, ParseError> {
+    fn lex_heredoc(&mut self) -> Result<TokenKind<'src>, ParseError> {
         let start = self.pos;
         self.pos += 3; // <<<
         let nowdoc = self.peek() == b'\'';
@@ -439,9 +501,10 @@ impl<'a> Lexer<'a> {
         if !self.at_end() {
             self.pos += 1;
         }
-        // Collect body lines until a line that starts with the tag.
-        let mut body = String::new();
-        loop {
+        // The body runs up to a line that starts with the tag; every
+        // body line ends in a newline, or the input ran out first.
+        let body_start = self.pos;
+        let body_end = loop {
             if self.at_end() {
                 return Err(ParseError::new(
                     format!("unterminated heredoc (expected closing {tag})"),
@@ -456,150 +519,189 @@ impl<'a> Lexer<'a> {
             if !self.at_end() {
                 self.pos += 1; // newline
             }
-            let trimmed = line.trim_start();
-            if let Some(rest) = trimmed.strip_prefix(tag.as_str()) {
+            if let Some(rest) = line.trim_start().strip_prefix(tag) {
                 if rest.is_empty() || rest == ";" {
                     if rest == ";" {
                         // Rewind onto the `;` so it is lexed as the
                         // statement terminator.
                         self.pos = line_start + line.len() - 1;
                     }
-                    break;
+                    break line_start;
                 }
             }
-            body.push_str(line);
-            body.push('\n');
-        }
+        };
+        let body = &self.src[body_start..body_end];
         if nowdoc {
-            return Ok(TokenKind::StringLit(vec![StrPart::Lit(body)]));
+            return Ok(TokenKind::PlainString(body));
         }
-        Ok(TokenKind::StringLit(Self::interpolate_text(&body)))
+        Ok(Self::interpolate_text(body))
     }
 
-    /// Splits heredoc/double-quote-style text into interpolation parts
-    /// (`$var`, `$arr[key]`, `{$var}`).
-    fn interpolate_text(text: &str) -> Vec<StrPart> {
+    /// Splits heredoc text into interpolation parts (`$var`,
+    /// `$arr[key]`, `{$var}`), borrowing it whole when it has none.
+    fn interpolate_text(text: &'src str) -> TokenKind<'src> {
         let bytes = text.as_bytes();
         let mut parts = Vec::new();
         let mut lit = String::new();
+        let mut run = 0usize;
         let mut i = 0usize;
         let ident_start = |b: u8| matches!(b, b'a'..=b'z' | b'A'..=b'Z' | b'_');
-        let ident_char = |b: u8| matches!(b, b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_');
-        let take_ident = |bytes: &[u8], mut j: usize| -> (String, usize) {
+        let take_ident = |mut j: usize| -> (String, usize) {
             let s = j;
-            while j < bytes.len() && ident_char(bytes[j]) {
+            while j < bytes.len()
+                && matches!(bytes[j], b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
+            {
                 j += 1;
             }
-            (String::from_utf8_lossy(&bytes[s..j]).into_owned(), j)
+            (text[s..j].to_owned(), j)
+        };
+        let flush = |lit: &mut String, parts: &mut Vec<StrPart>, tail: &str| {
+            lit.push_str(tail);
+            if !lit.is_empty() {
+                parts.push(StrPart::Lit(std::mem::take(lit)));
+            }
         };
         while i < bytes.len() {
             let b = bytes[i];
             if b == b'\\' && i + 1 < bytes.len() {
-                match bytes[i + 1] {
+                lit.push_str(&text[run..i]);
+                let esc = bytes[i + 1];
+                match esc {
                     b'n' => lit.push('\n'),
                     b't' => lit.push('\t'),
                     b'$' => lit.push('$'),
                     b'\\' => lit.push('\\'),
                     other => {
                         lit.push('\\');
-                        lit.push(other as char);
+                        if other.is_ascii() {
+                            lit.push(other as char);
+                        }
                     }
                 }
-                i += 2;
+                // A non-ASCII character after an unknown escape stays
+                // in the literal run.
+                i += if esc.is_ascii() { 2 } else { 1 };
+                run = i;
                 continue;
             }
             if b == b'$' && i + 1 < bytes.len() && ident_start(bytes[i + 1]) {
-                if !lit.is_empty() {
-                    parts.push(StrPart::Lit(std::mem::take(&mut lit)));
-                }
-                let (name, j) = take_ident(bytes, i + 1);
+                flush(&mut lit, &mut parts, &text[run..i]);
+                let (name, j) = take_ident(i + 1);
                 i = j;
-                if i < bytes.len() && bytes[i] == b'[' {
-                    if let Some(close) = text[i..].find(']') {
+                let close = (i < bytes.len() && bytes[i] == b'[')
+                    .then(|| text[i..].find(']'))
+                    .flatten();
+                match close {
+                    Some(close) => {
                         let index = text[i + 1..i + close].trim_matches('\'').to_owned();
                         parts.push(StrPart::ArrayVar { var: name, index });
                         i += close + 1;
-                        continue;
                     }
+                    None => parts.push(StrPart::Var(name)),
                 }
-                parts.push(StrPart::Var(name));
+                run = i;
                 continue;
             }
             if b == b'{' && i + 1 < bytes.len() && bytes[i + 1] == b'$' {
-                if !lit.is_empty() {
-                    parts.push(StrPart::Lit(std::mem::take(&mut lit)));
-                }
-                let (name, j) = take_ident(bytes, i + 2);
+                flush(&mut lit, &mut parts, &text[run..i]);
+                let (name, j) = take_ident(i + 2);
                 i = j;
                 if let Some(close) = text[i..].find('}') {
                     i += close + 1;
                 }
                 parts.push(StrPart::Var(name));
+                run = i;
                 continue;
             }
-            lit.push(b as char);
             i += 1;
         }
-        if !lit.is_empty() {
-            parts.push(StrPart::Lit(lit));
+        if parts.is_empty() && lit.is_empty() {
+            // Nothing escaped or interpolated (every escape adds text).
+            return if text.is_empty() {
+                TokenKind::StringLit(Vec::new())
+            } else {
+                TokenKind::PlainString(text)
+            };
         }
-        parts
+        flush(&mut lit, &mut parts, &text[run..]);
+        TokenKind::StringLit(parts)
     }
 
-    fn lex_operator(&mut self) -> Result<TokenKind, ParseError> {
+    fn lex_operator(&mut self) -> Result<TokenKind<'src>, ParseError> {
+        use TokenKind::*;
         // Longest match first.
-        const TABLE: &[(&str, TokenKind)] = &[
-            ("===", TokenKind::EqEqEq),
-            ("!==", TokenKind::NotEqEq),
-            ("<>", TokenKind::NotEq),
-            ("==", TokenKind::EqEq),
-            ("!=", TokenKind::NotEq),
-            ("<=", TokenKind::Le),
-            (">=", TokenKind::Ge),
-            ("&&", TokenKind::AndAnd),
-            ("||", TokenKind::OrOr),
-            ("++", TokenKind::Inc),
-            ("--", TokenKind::Dec),
-            ("+=", TokenKind::PlusAssign),
-            ("-=", TokenKind::MinusAssign),
-            ("*=", TokenKind::MulAssign),
-            ("/=", TokenKind::DivAssign),
-            (".=", TokenKind::DotAssign),
-            ("=>", TokenKind::DoubleArrow),
-            ("->", TokenKind::Arrow),
-            ("=", TokenKind::Assign),
-            ("+", TokenKind::Plus),
-            ("-", TokenKind::Minus),
-            ("*", TokenKind::Star),
-            ("/", TokenKind::Slash),
-            ("%", TokenKind::Percent),
-            (".", TokenKind::Dot),
-            ("<", TokenKind::Lt),
-            (">", TokenKind::Gt),
-            ("!", TokenKind::Not),
-            ("?", TokenKind::Question),
-            (":", TokenKind::Colon),
-            (";", TokenKind::Semicolon),
-            (",", TokenKind::Comma),
-            ("(", TokenKind::LParen),
-            (")", TokenKind::RParen),
-            ("{", TokenKind::LBrace),
-            ("}", TokenKind::RBrace),
-            ("[", TokenKind::LBracket),
-            ("]", TokenKind::RBracket),
-            ("@", TokenKind::At),
-            ("&", TokenKind::Amp),
-        ];
-        for (text, kind) in TABLE {
-            if self.starts_with(text) {
-                self.pos += text.len();
-                return Ok(kind.clone());
+        let (kind, len) = match (self.peek(), self.peek_at(1), self.peek_at(2)) {
+            (b'=', b'=', b'=') => (EqEqEq, 3),
+            (b'=', b'=', _) => (EqEq, 2),
+            (b'=', b'>', _) => (DoubleArrow, 2),
+            (b'=', _, _) => (Assign, 1),
+            (b'!', b'=', b'=') => (NotEqEq, 3),
+            (b'!', b'=', _) => (NotEq, 2),
+            (b'!', _, _) => (Not, 1),
+            (b'<', b'>', _) => (NotEq, 2),
+            (b'<', b'=', _) => (Le, 2),
+            (b'<', _, _) => (Lt, 1),
+            (b'>', b'=', _) => (Ge, 2),
+            (b'>', _, _) => (Gt, 1),
+            (b'&', b'&', _) => (AndAnd, 2),
+            (b'&', _, _) => (Amp, 1),
+            (b'|', b'|', _) => (OrOr, 2),
+            (b'+', b'+', _) => (Inc, 2),
+            (b'+', b'=', _) => (PlusAssign, 2),
+            (b'+', _, _) => (Plus, 1),
+            (b'-', b'-', _) => (Dec, 2),
+            (b'-', b'=', _) => (MinusAssign, 2),
+            (b'-', b'>', _) => (Arrow, 2),
+            (b'-', _, _) => (Minus, 1),
+            (b'*', b'=', _) => (MulAssign, 2),
+            (b'*', _, _) => (Star, 1),
+            (b'/', b'=', _) => (DivAssign, 2),
+            (b'/', _, _) => (Slash, 1),
+            (b'.', b'=', _) => (DotAssign, 2),
+            (b'.', _, _) => (Dot, 1),
+            (b'%', _, _) => (Percent, 1),
+            (b'?', _, _) => (Question, 1),
+            (b':', _, _) => (Colon, 1),
+            (b';', _, _) => (Semicolon, 1),
+            (b',', _, _) => (Comma, 1),
+            (b'(', _, _) => (LParen, 1),
+            (b')', _, _) => (RParen, 1),
+            (b'{', _, _) => (LBrace, 1),
+            (b'}', _, _) => (RBrace, 1),
+            (b'[', _, _) => (LBracket, 1),
+            (b']', _, _) => (RBracket, 1),
+            (b'@', _, _) => (At, 1),
+            _ => {
+                return Err(ParseError::new(
+                    format!("unexpected character `{}`", self.peek() as char),
+                    Span::new(self.pos as u32, self.pos as u32 + 1),
+                ))
             }
+        };
+        self.pos += len;
+        Ok(kind)
+    }
+}
+
+fn unterminated_string(start: usize, end: usize) -> ParseError {
+    ParseError::new(
+        "unterminated string literal",
+        Span::new(start as u32, end as u32),
+    )
+}
+
+impl<'src> Iterator for Lexer<'src> {
+    type Item = Result<Token<'src>, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.mode == Mode::Done {
+            return None;
         }
-        Err(ParseError::new(
-            format!("unexpected character `{}`", self.peek() as char),
-            Span::new(self.pos as u32, self.pos as u32 + 1),
-        ))
+        let item = self.next_token();
+        if matches!(&item, Ok(t) if t.kind == TokenKind::Eof) || item.is_err() {
+            self.mode = Mode::Done;
+        }
+        Some(item)
     }
 }
 
@@ -607,7 +709,7 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         Lexer::new(src)
             .tokenize()
             .expect("lex ok")
@@ -620,7 +722,7 @@ mod tests {
     fn html_only_input() {
         let ks = kinds("<html><body>hi</body></html>");
         assert_eq!(ks.len(), 2);
-        assert!(matches!(&ks[0], TokenKind::InlineHtml(h) if h.contains("hi")));
+        assert!(matches!(ks[0], TokenKind::InlineHtml(h) if h.contains("hi")));
         assert_eq!(ks[1], TokenKind::Eof);
     }
 
@@ -630,7 +732,7 @@ mod tests {
         assert_eq!(
             ks,
             vec![
-                TokenKind::Variable("x".into()),
+                TokenKind::Variable("x"),
                 TokenKind::Assign,
                 TokenKind::IntLit(42),
                 TokenKind::Semicolon,
@@ -652,13 +754,13 @@ mod tests {
     fn echo_shorthand_tag() {
         let ks = kinds("<?= $x ?>");
         assert!(ks[0].is_ident("echo"));
-        assert_eq!(ks[1], TokenKind::Variable("x".into()));
+        assert_eq!(ks[1], TokenKind::Variable("x"));
     }
 
     #[test]
     fn comments_are_skipped() {
         let ks = kinds("<?php // line\n# hash\n/* block\nstill */ $x;");
-        assert_eq!(ks[0], TokenKind::Variable("x".into()));
+        assert_eq!(ks[0], TokenKind::Variable("x"));
     }
 
     #[test]
@@ -670,12 +772,7 @@ mod tests {
     #[test]
     fn single_quoted_string_has_no_interpolation() {
         let ks = kinds(r#"<?php $q = 'sid=$sid';"#);
-        match &ks[2] {
-            TokenKind::StringLit(parts) => {
-                assert_eq!(parts, &vec![StrPart::Lit("sid=$sid".into())]);
-            }
-            other => panic!("expected string, got {other:?}"),
-        }
+        assert_eq!(ks[2], TokenKind::PlainString("sid=$sid"));
     }
 
     #[test]
@@ -791,17 +888,15 @@ mod tests {
     #[test]
     fn superglobal_tokens() {
         let ks = kinds("<?php $_GET['sid'];");
-        assert_eq!(ks[0], TokenKind::Variable("_GET".into()));
+        assert_eq!(ks[0], TokenKind::Variable("_GET"));
         assert_eq!(ks[1], TokenKind::LBracket);
-        assert!(
-            matches!(&ks[2], TokenKind::StringLit(p) if p == &vec![StrPart::Lit("sid".into())])
-        );
+        assert_eq!(ks[2], TokenKind::PlainString("sid"));
     }
 
     #[test]
     fn hash_comment_stops_at_close_tag() {
         let ks = kinds("<?php # note ?>after");
         // The close tag terminates the comment and PHP mode.
-        assert!(matches!(&ks[1], TokenKind::InlineHtml(h) if h == "after"));
+        assert_eq!(ks[1], TokenKind::InlineHtml("after"));
     }
 }

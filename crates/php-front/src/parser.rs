@@ -1,4 +1,4 @@
-use crate::ast::{AssignOp, BinOp, Expr, IncludeKind, LValue, Param, Program, Stmt, UnOp};
+use crate::ast::{AssignOp, BinOp, Expr, IncludeKind, LValue, Param, Program, Stmt, StrPart, UnOp};
 use crate::error::ParseError;
 use crate::lexer::Lexer;
 use crate::span::Span;
@@ -20,17 +20,26 @@ use crate::token::{Token, TokenKind};
 /// # Ok::<(), php_front::ParseError>(())
 /// ```
 pub fn parse_source(source: &str) -> Result<Program, ParseError> {
-    let tokens = Lexer::new(source).tokenize()?;
-    Parser::new(tokens).parse_program()
+    Parser::new(source).parse_program()
 }
 
-/// Recursive-descent parser over a token stream.
+/// Recursive-descent parser pulling tokens from a [`Lexer`] with one
+/// token of lookahead.
 ///
-/// Use [`parse_source`] unless you already have tokens.
+/// A lex error anywhere in the source wins over a parse error before
+/// it, as if the whole source were tokenized first: the lexer ends its
+/// stream at its first error, and on a parse error the parser drains
+/// the rest of the stream before reporting.
 #[derive(Debug)]
-pub struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+pub struct Parser<'src> {
+    lexer: Lexer<'src>,
+    /// The lookahead token.
+    tok: Token<'src>,
+    /// Span of the last token consumed (the first token's before any).
+    prev: Span,
+    /// The lexer's error, once it has failed; the lookahead is then an
+    /// `Eof` standing in for the rest of the stream.
+    lex_error: Option<ParseError>,
     depth: usize,
 }
 
@@ -38,58 +47,105 @@ pub struct Parser {
 /// is rejected with a parse error instead of overflowing the stack.
 const MAX_DEPTH: usize = 64;
 
-impl Parser {
-    /// Creates a parser over tokens (which must end with `Eof`).
-    pub fn new(tokens: Vec<Token>) -> Self {
-        assert!(
-            matches!(tokens.last().map(|t| &t.kind), Some(TokenKind::Eof)),
-            "token stream must end with Eof"
-        );
-        Parser {
-            tokens,
-            pos: 0,
+/// Length of the longest keyword (`include_once`, `require_once`).
+const KEYWORD_MAX: usize = 12;
+
+/// `name` lowercased into `buf` when it could be a keyword; the empty
+/// string (no keyword) when it is longer than any keyword.
+fn keyword_lowercase<'b>(name: &str, buf: &'b mut [u8; KEYWORD_MAX]) -> &'b str {
+    let Some(out) = buf.get_mut(..name.len()) else {
+        return "";
+    };
+    for (o, b) in out.iter_mut().zip(name.bytes()) {
+        *o = b.to_ascii_lowercase();
+    }
+    // Identifiers are ASCII, so the lowercase copy is valid UTF-8.
+    std::str::from_utf8(out).unwrap_or("")
+}
+
+impl<'src> Parser<'src> {
+    /// Creates a parser over PHP source text.
+    pub fn new(source: &'src str) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(source),
+            tok: Token::new(TokenKind::Eof, Span::default()),
+            prev: Span::default(),
+            lex_error: None,
             depth: 0,
-        }
+        };
+        parser.tok = parser.pull();
+        parser.prev = parser.tok.span;
+        parser
     }
 
     /// Parses a whole program.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseError`] on any construct outside the subset.
+    /// Returns a [`ParseError`] on malformed input or any construct
+    /// outside the subset.
     pub fn parse_program(mut self) -> Result<Program, ParseError> {
         let mut stmts = Vec::new();
-        while !self.at(TokenKind::Eof) {
-            stmts.push(self.parse_stmt()?);
+        let parsed = loop {
+            if self.at(TokenKind::Eof) {
+                break Ok(());
+            }
+            match self.parse_stmt() {
+                Ok(s) => stmts.push(s),
+                Err(e) => break Err(e),
+            }
+        };
+        if parsed.is_err() && self.lex_error.is_none() {
+            // A lex error later in the source takes precedence.
+            self.lex_error = self.lexer.find_map(Result::err);
         }
-        Ok(Program { stmts })
+        match (self.lex_error, parsed) {
+            (Some(e), _) | (None, Err(e)) => Err(e),
+            (None, Ok(())) => Ok(Program { stmts }),
+        }
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+    /// The lexer's next token, or an `Eof` in place of its error.
+    fn pull(&mut self) -> Token<'src> {
+        match self.lexer.next() {
+            Some(Ok(t)) => t,
+            Some(Err(e)) => {
+                let span = e.span;
+                self.lex_error = Some(e);
+                Token::new(TokenKind::Eof, span)
+            }
+            None => Token::new(TokenKind::Eof, self.tok.span),
+        }
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+    fn peek(&self) -> &Token<'src> {
+        &self.tok
     }
 
-    fn at(&self, kind: TokenKind) -> bool {
-        *self.peek_kind() == kind
+    fn peek_kind(&self) -> &TokenKind<'src> {
+        &self.tok.kind
+    }
+
+    fn at(&self, kind: TokenKind<'src>) -> bool {
+        self.tok.kind == kind
     }
 
     fn at_ident(&self, text: &str) -> bool {
-        self.peek_kind().is_ident(text)
+        self.tok.kind.is_ident(text)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+    /// Consumes the lookahead token. At `Eof` the parser stays put and
+    /// returns another `Eof`.
+    fn bump(&mut self) -> Token<'src> {
+        if self.tok.kind == TokenKind::Eof {
+            return self.tok.clone();
         }
-        t
+        let next = self.pull();
+        self.prev = self.tok.span;
+        std::mem::replace(&mut self.tok, next)
     }
 
-    fn expect(&mut self, kind: TokenKind) -> Result<Token, ParseError> {
+    fn expect(&mut self, kind: TokenKind<'src>) -> Result<Token<'src>, ParseError> {
         if self.at(kind.clone()) {
             Ok(self.bump())
         } else {
@@ -133,15 +189,15 @@ impl Parser {
     }
 
     fn parse_stmt_inner(&mut self) -> Result<Stmt, ParseError> {
-        let tok = self.peek().clone();
-        match &tok.kind {
+        let span = self.tok.span;
+        match self.tok.kind {
             TokenKind::InlineHtml(h) => {
                 self.bump();
-                Ok(Stmt::InlineHtml(h.clone(), tok.span))
+                Ok(Stmt::InlineHtml(h.to_owned(), span))
             }
             TokenKind::Semicolon => {
                 self.bump();
-                Ok(Stmt::Nop(tok.span))
+                Ok(Stmt::Nop(span))
             }
             TokenKind::LBrace => {
                 self.bump();
@@ -149,8 +205,9 @@ impl Parser {
                 Ok(Stmt::Block(body))
             }
             TokenKind::Ident(name) => {
-                let lower = name.to_ascii_lowercase();
-                match lower.as_str() {
+                let mut buf = [0u8; KEYWORD_MAX];
+                let lower = keyword_lowercase(name, &mut buf);
+                match lower {
                     "if" => self.parse_if(),
                     "while" => self.parse_while(),
                     "do" => self.parse_do_while(),
@@ -168,7 +225,7 @@ impl Parser {
                             self.bump();
                         }
                         let end = self.expect_semicolon()?;
-                        Ok(Stmt::Break(tok.span.merge(end)))
+                        Ok(Stmt::Break(span.merge(end)))
                     }
                     "continue" => {
                         self.bump();
@@ -176,7 +233,7 @@ impl Parser {
                             self.bump();
                         }
                         let end = self.expect_semicolon()?;
-                        Ok(Stmt::Continue(tok.span.merge(end)))
+                        Ok(Stmt::Continue(span.merge(end)))
                     }
                     "exit" | "die" => {
                         self.bump();
@@ -193,11 +250,11 @@ impl Parser {
                             None
                         };
                         let end = self.expect_semicolon()?;
-                        Ok(Stmt::Exit(arg, tok.span.merge(end)))
+                        Ok(Stmt::Exit(arg, span.merge(end)))
                     }
                     "include" | "include_once" | "require" | "require_once" => {
                         self.bump();
-                        let kind = match lower.as_str() {
+                        let kind = match lower {
                             "include" => IncludeKind::Include,
                             "include_once" => IncludeKind::IncludeOnce,
                             "require" => IncludeKind::Require,
@@ -208,7 +265,7 @@ impl Parser {
                         Ok(Stmt::Include {
                             kind,
                             path,
-                            span: tok.span.merge(end),
+                            span: span.merge(end),
                         })
                     }
                     _ => self.parse_expr_stmt(),
@@ -412,7 +469,10 @@ impl Parser {
         })
     }
 
-    fn parse_expr_list_until(&mut self, terminator: TokenKind) -> Result<Vec<Expr>, ParseError> {
+    fn parse_expr_list_until(
+        &mut self,
+        terminator: TokenKind<'src>,
+    ) -> Result<Vec<Expr>, ParseError> {
         let mut out = Vec::new();
         if self.at(terminator.clone()) {
             return Ok(out);
@@ -440,7 +500,7 @@ impl Parser {
             Token {
                 kind: TokenKind::Variable(v),
                 ..
-            } => v,
+            } => v.to_owned(),
             t => return Err(ParseError::new("expected variable after `as`", t.span)),
         };
         let (key, value) = if self.at(TokenKind::DoubleArrow) {
@@ -452,7 +512,7 @@ impl Parser {
                 Token {
                     kind: TokenKind::Variable(v),
                     ..
-                } => (Some(first), v),
+                } => (Some(first), v.to_owned()),
                 t => return Err(ParseError::new("expected variable after `=>`", t.span)),
             }
         } else {
@@ -541,7 +601,7 @@ impl Parser {
             Token {
                 kind: TokenKind::Ident(n),
                 ..
-            } => n,
+            } => n.to_owned(),
             t => return Err(ParseError::new("expected function name", t.span)),
         };
         self.expect(TokenKind::LParen)?;
@@ -557,7 +617,7 @@ impl Parser {
                 Token {
                     kind: TokenKind::Variable(v),
                     ..
-                } => v,
+                } => v.to_owned(),
                 t => return Err(ParseError::new("expected parameter variable", t.span)),
             };
             let default = if self.at(TokenKind::Assign) {
@@ -618,7 +678,7 @@ impl Parser {
                 Token {
                     kind: TokenKind::Variable(v),
                     ..
-                } => names.push(v),
+                } => names.push(v.to_owned()),
                 t => return Err(ParseError::new("expected variable in global", t.span)),
             }
             if self.at(TokenKind::Comma) {
@@ -698,7 +758,7 @@ impl Parser {
     }
 
     fn prev_span(&self) -> Span {
-        self.tokens[self.pos.saturating_sub(1)].span
+        self.prev
     }
 
     fn expr_to_lvalue(e: Expr) -> Option<LValue> {
@@ -937,7 +997,7 @@ impl Parser {
                         Token {
                             kind: TokenKind::Ident(n),
                             ..
-                        } => n,
+                        } => n.to_owned(),
                         t => {
                             return Err(ParseError::new("expected member name after `->`", t.span))
                         }
@@ -991,11 +1051,11 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        let tok = self.peek().clone();
-        match tok.kind {
+        let span = self.tok.span;
+        match self.tok.kind {
             TokenKind::Variable(name) => {
                 self.bump();
-                Ok(Expr::Var(name))
+                Ok(Expr::Var(name.to_owned()))
             }
             TokenKind::IntLit(n) => {
                 self.bump();
@@ -1005,8 +1065,14 @@ impl Parser {
                 self.bump();
                 Ok(Expr::FloatLit(x))
             }
-            TokenKind::StringLit(parts) => {
+            TokenKind::PlainString(text) => {
                 self.bump();
+                Ok(Expr::StringLit(vec![StrPart::Lit(text.to_owned())]))
+            }
+            TokenKind::StringLit(_) => {
+                let TokenKind::StringLit(parts) = self.bump().kind else {
+                    unreachable!("the lookahead is a string literal")
+                };
                 Ok(Expr::StringLit(parts))
             }
             TokenKind::LParen => {
@@ -1022,8 +1088,8 @@ impl Parser {
                 Ok(Expr::ArrayLit(entries))
             }
             TokenKind::Ident(name) => {
-                let lower = name.to_ascii_lowercase();
-                match lower.as_str() {
+                let mut buf = [0u8; KEYWORD_MAX];
+                match keyword_lowercase(name, &mut buf) {
                     "true" => {
                         self.bump();
                         Ok(Expr::BoolLit(true))
@@ -1113,29 +1179,29 @@ impl Parser {
                             let args = self.parse_call_args()?;
                             let end = self.prev_span();
                             Ok(Expr::Call {
-                                name,
+                                name: name.to_owned(),
                                 args,
                                 suppressed: false,
-                                span: tok.span.merge(end),
+                                span: span.merge(end),
                             })
                         } else {
                             // A bare constant (`Nick`, `PHP_SELF`, …):
                             // constants carry trusted values.
-                            Ok(Expr::StringLit(vec![crate::token::StrPart::Lit(name)]))
+                            Ok(Expr::StringLit(vec![StrPart::Lit(name.to_owned())]))
                         }
                     }
                 }
             }
-            other => Err(ParseError::new(
+            ref other => Err(ParseError::new(
                 format!("unexpected {} in expression", other.describe()),
-                tok.span,
+                span,
             )),
         }
     }
 
     fn parse_array_entries(
         &mut self,
-        terminator: TokenKind,
+        terminator: TokenKind<'src>,
     ) -> Result<Vec<(Option<Expr>, Expr)>, ParseError> {
         let mut entries = Vec::new();
         while !self.at(terminator.clone()) {

@@ -19,19 +19,25 @@ pub enum StrPart {
 }
 
 /// The kind (and payload) of a lexical token.
+///
+/// Names and undecorated literals borrow their text from the source
+/// (`'src`); the parser copies a name once, when it moves into the AST.
 #[derive(Clone, Debug, PartialEq)]
 #[allow(missing_docs)] // variant names mirror PHP's lexical grammar
-pub enum TokenKind {
+pub enum TokenKind<'src> {
     /// Raw HTML outside `<?php … ?>` — modeled as output of trusted text.
-    InlineHtml(String),
+    InlineHtml(&'src str),
     /// A `$name` variable; payload excludes the `$`.
-    Variable(String),
+    Variable(&'src str),
     /// An identifier or keyword.
-    Ident(String),
+    Ident(&'src str),
     IntLit(i64),
     FloatLit(f64),
-    /// A single- or double-quoted string, already split into
-    /// interpolation parts (single-quoted strings have one `Lit` part).
+    /// A string literal with no escape or interpolation: its text as
+    /// written between the delimiters (one `Lit` part in the AST).
+    PlainString(&'src str),
+    /// A string literal with escapes or interpolation, already split
+    /// into parts.
     StringLit(Vec<StrPart>),
 
     Assign,
@@ -76,7 +82,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     /// Whether this is an `Ident` with the given (case-insensitive) text.
     pub fn is_ident(&self, text: &str) -> bool {
         matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(text))
@@ -90,7 +96,7 @@ impl TokenKind {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
             TokenKind::IntLit(n) => format!("integer {n}"),
             TokenKind::FloatLit(x) => format!("float {x}"),
-            TokenKind::StringLit(_) => "string literal".to_owned(),
+            TokenKind::PlainString(_) | TokenKind::StringLit(_) => "string literal".to_owned(),
             TokenKind::Eof => "end of input".to_owned(),
             other => format!("`{}`", other.symbol()),
         }
@@ -144,21 +150,21 @@ impl TokenKind {
 
 /// A token with its source span.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+pub struct Token<'src> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// Where it was lexed from.
     pub span: Span,
 }
 
-impl Token {
+impl<'src> Token<'src> {
     /// Creates a token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub fn new(kind: TokenKind<'src>, span: Span) -> Self {
         Token { kind, span }
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at {}", self.kind.describe(), self.span)
     }
@@ -170,7 +176,7 @@ mod tests {
 
     #[test]
     fn is_ident_is_case_insensitive() {
-        let k = TokenKind::Ident("Echo".into());
+        let k = TokenKind::Ident("Echo");
         assert!(k.is_ident("echo"));
         assert!(k.is_ident("ECHO"));
         assert!(!k.is_ident("print"));
@@ -180,11 +186,12 @@ mod tests {
     #[test]
     fn describe_is_nonempty_for_all_kinds() {
         let kinds = vec![
-            TokenKind::InlineHtml("x".into()),
-            TokenKind::Variable("v".into()),
-            TokenKind::Ident("f".into()),
+            TokenKind::InlineHtml("x"),
+            TokenKind::Variable("v"),
+            TokenKind::Ident("f"),
             TokenKind::IntLit(1),
             TokenKind::FloatLit(1.5),
+            TokenKind::PlainString("s"),
             TokenKind::StringLit(vec![]),
             TokenKind::Assign,
             TokenKind::DotAssign,

@@ -469,10 +469,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         report.timeout_files(),
         report.ts_errors(),
         report.bmc_groups(),
-        report
-            .reduction()
-            .map(|r| format!(" (instrumentation reduction {:.1}%)", r * 100.0))
-            .unwrap_or_default(),
+        webssari::core::reduction_note(report.reduction(), report.timeout_files()),
     );
     if report.is_vulnerable() {
         ExitCode::FAILURE

@@ -130,6 +130,43 @@ fn zero_solve_budget_verifies_ts_clean_files_and_times_out_the_rest() {
 }
 
 #[test]
+fn timed_out_files_are_left_out_of_the_reduction() {
+    // A timed-out file has TS errors but no BMC groups to weigh them
+    // against; counting it would read as a 100% reduction.
+    let dir = scratch(&[("index.php", VULN)]);
+    let cache = dir.join("cache");
+    let verify = |budget: &[&str]| {
+        let out = webssari()
+            .args(["verify", dir.to_str().unwrap()])
+            .args(["--cache-dir", cache.to_str().unwrap()])
+            .args(budget)
+            .output()
+            .unwrap();
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let stdout = verify(&["--solve-budget-ms", "0"]);
+    assert!(
+        stdout.contains(
+            "1 timeout(s); TS errors 1, BMC groups 0 \
+             (instrumentation reduction n/a, 1 timed-out file(s) left out)"
+        ),
+        "{stdout}"
+    );
+    // Cache `index.php`'s finished verdict, then time out a second
+    // file beside it: the reduction covers the finished file alone.
+    verify(&[]);
+    std::fs::write(dir.join("other.php"), VULN).unwrap();
+    let stdout = verify(&["--solve-budget-ms", "0"]);
+    assert!(
+        stdout.contains(
+            "1 vulnerable file(s), 1 timeout(s); TS errors 2, BMC groups 1 \
+             (instrumentation reduction 0.0%, 1 timed-out file(s) left out)"
+        ),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn patch_then_verify_round_trip() {
     let dir = scratch(&[("index.php", VULN)]);
     let out = webssari()
