@@ -3,7 +3,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use php_front::SourceSet;
@@ -377,36 +377,42 @@ impl Engine {
             }
         };
 
-        if jobs.len() == 1 {
-            // Single-job fast path — the common `/verify` shape. Run
-            // inline: no scoped threads, no channels, no scheduler.
-            let done = run_job(0, &jobs[0]);
-            let index = done.index;
-            slots[index] = Some(Slot::Fresh(Box::new(done)));
-        } else if !jobs.is_empty() {
-            let workers = self.workers.min(jobs.len());
-            // The cursor only hands out indices into `jobs`, which every
+        if !jobs.is_empty() {
+            // The calling thread is worker 0; only the other workers
+            // are spawned, and each hands back its finished jobs when
+            // joined. Worker 0 holds job 0 before any other worker
+            // starts, so the calling thread always does work; the rest
+            // come from one shared cursor in file-name order. The
+            // cursor only hands out indices into `jobs`, which every
             // worker borrows unchanged, so it publishes no data.
-            let cursor = AtomicUsize::new(0);
-            let (done_tx, done_rx) = mpsc::channel::<JobDone>();
-            let (run_job, jobs, cursor) = (&run_job, &jobs, &cursor);
-            std::thread::scope(|s| {
-                for worker in 0..workers {
-                    let done_tx = done_tx.clone();
-                    s.spawn(move || {
-                        while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                            if done_tx.send(run_job(worker, job)).is_err() {
-                                break;
-                            }
-                        }
-                    });
+            let workers = self.workers.min(jobs.len());
+            let cursor = AtomicUsize::new(1);
+            let claim = || cursor.fetch_add(1, Ordering::Relaxed);
+            let work = |worker: usize, mut next: usize| {
+                let mut done = Vec::new();
+                while let Some(job) = jobs.get(next) {
+                    done.push(run_job(worker, job));
+                    next = claim();
                 }
-                drop(done_tx);
-                for done in done_rx {
-                    let index = done.index;
-                    slots[index] = Some(Slot::Fresh(Box::new(done)));
+                done
+            };
+            let finished = std::thread::scope(|s| {
+                let helpers: Vec<_> = (1..workers)
+                    .map(|worker| s.spawn(move || work(worker, claim())))
+                    .collect();
+                let mut finished = work(0, 0);
+                for helper in helpers {
+                    match helper.join() {
+                        Ok(done) => finished.extend(done),
+                        Err(panic) => std::panic::resume_unwind(panic),
+                    }
                 }
+                finished
             });
+            for done in finished {
+                let index = done.index;
+                slots[index] = Some(Slot::Fresh(Box::new(done)));
+            }
         }
 
         let report = self.assemble(started, names, slots, &cell, cache, stats);

@@ -6,9 +6,10 @@
 //! across a fixed worker pool and adds the machinery a batch auditor
 //! needs:
 //!
-//! * **Worker pool** ([`Engine`], [`EngineBuilder`]) — N scoped worker
-//!   threads take jobs in file-name order from one shared cursor and
-//!   send results back over an `mpsc` channel; results are re-ordered
+//! * **Worker pool** ([`Engine`], [`EngineBuilder`]) — the calling
+//!   thread is worker 0 and up to N − 1 scoped threads join it; they
+//!   take jobs in file-name order from one shared cursor, and each
+//!   hands its finished jobs back when joined. Results are re-ordered
 //!   by file name, so the report is deterministic and identical to the
 //!   sequential [`webssari_core::Verifier`] path for any worker count.
 //!   The batch's cross-request store summary is built on demand, by the
@@ -96,6 +97,111 @@ mod tests {
             assert_eq!(report.bmc_groups(), sequential.bmc_groups());
             assert_eq!(report.vulnerable_files(), sequential.vulnerable_files());
         }
+    }
+
+    /// `n` small files, some vulnerable, in file-name order.
+    fn many_files(n: usize) -> SourceSet {
+        let mut set = SourceSet::new();
+        for i in 0..n {
+            let src = if i % 3 == 0 {
+                format!("<?php echo $_GET['v{i}'];")
+            } else {
+                format!("<?php $a = 'x{i}'; echo $a;")
+            };
+            set.add_file(format!("f{i:02}.php"), src);
+        }
+        set
+    }
+
+    #[test]
+    fn the_calling_thread_is_worker_zero() {
+        let set = many_files(12);
+        for workers in [1, 2, 4] {
+            let report = EngineBuilder::new().workers(workers).build().run(&set);
+            let ran: Vec<usize> = report
+                .metrics
+                .files
+                .iter()
+                .map(|f| f.worker.expect("every file is a fresh job"))
+                .collect();
+            assert!(ran.contains(&0), "workers = {workers}: {ran:?}");
+            assert!(
+                ran.iter().all(|&w| w < workers),
+                "workers = {workers}: {ran:?}"
+            );
+        }
+        // A one-job batch runs on the calling thread alone.
+        let mut one = SourceSet::new();
+        one.add_file("only.php", "<?php echo $_GET['x'];");
+        let report = EngineBuilder::new().workers(4).build().run(&one);
+        assert_eq!(report.metrics.files[0].worker, Some(0));
+    }
+
+    #[test]
+    fn reports_are_byte_identical_for_any_worker_count() {
+        let set = many_files(12);
+        let render = |set: &SourceSet, workers: usize| {
+            EngineBuilder::new()
+                .workers(workers)
+                .build()
+                .run(set)
+                .render_text()
+        };
+        let text = render(&set, 1);
+        for workers in [2, 4] {
+            assert_eq!(render(&set, workers), text, "workers = {workers}");
+        }
+        // A one-file batch renders that file's part of the whole.
+        let (name, src) = set.iter().next().expect("nonempty set");
+        let mut one = SourceSet::new();
+        one.add_file(name, src);
+        for workers in [1, 2, 4] {
+            let one_text = render(&one, workers);
+            assert!(
+                !one_text.is_empty() && text.starts_with(&one_text),
+                "workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_snapshot_mid_batch_counts_the_finished_jobs() {
+        // Small files first, then one branch-heavy page whose solver
+        // work keeps a worker busy after the rest have finished.
+        let mut set = many_files(20);
+        let mut slow = String::from("<?php\n$q = 'SELECT * FROM t WHERE a=';\n");
+        for i in 0..12 {
+            slow.push_str(&format!(
+                "if ($_GET['c{i}']) {{ $q = $q . $_GET['v{i}']; }} else {{ $q = $q . 'k{i}'; }}\n"
+            ));
+        }
+        slow.push_str("mysql_query($q);\necho $q;\n");
+        set.add_file("zz_slow.php", slow);
+        let handle = EngineBuilder::new().workers(2).build().into_handle();
+        let finished = |s: &EngineSnapshot| {
+            s.files_verified + s.files_vulnerable + s.files_timeout + s.files_parse_error
+        };
+        let mut mid_batch = Vec::new();
+        std::thread::scope(|scope| {
+            let run = scope.spawn(|| handle.run(&set));
+            while !run.is_finished() {
+                let snapshot = handle.snapshot();
+                if snapshot.batches_started == 1 && snapshot.batches_completed == 0 {
+                    mid_batch.push(snapshot);
+                }
+                std::thread::yield_now();
+            }
+            run.join().expect("batch completes");
+        });
+        let total = set.len() as u64;
+        let counted = mid_batch
+            .iter()
+            .filter(|s| finished(s) > 0 && finished(s) < total)
+            .count();
+        assert!(counted > 0, "no mid-batch snapshot saw finished jobs");
+        let after = handle.snapshot();
+        assert_eq!(finished(&after), total);
+        assert_eq!(after.cache_misses, total);
     }
 
     #[test]

@@ -313,8 +313,7 @@ impl<'src> Lexer<'src> {
                 b'\\' => {
                     text.push_str(&self.src[run..self.pos - 1]);
                     if self.at_end() {
-                        // The escaped byte would lie one past the input.
-                        return Err(unterminated_string(start, self.pos + 1));
+                        return Err(unterminated_string(start, self.pos));
                     }
                     match self.peek() {
                         q @ (b'\'' | b'\\') => {
@@ -363,8 +362,7 @@ impl<'src> Lexer<'src> {
                     text.push_str(&self.src[run..self.pos]);
                     self.pos += 1;
                     if self.at_end() {
-                        // The escaped byte would lie one past the input.
-                        return Err(unterminated_string(start, self.pos + 1));
+                        return Err(unterminated_string(start, self.pos));
                     }
                     let esc = self.peek();
                     match esc {
@@ -672,10 +670,13 @@ impl<'src> Lexer<'src> {
             (b']', _, _) => (RBracket, 1),
             (b'@', _, _) => (At, 1),
             _ => {
+                // Tokens end on character boundaries, so the stray
+                // character starts here; name all of its bytes.
+                let c = self.src[self.pos..].chars().next().unwrap_or('\0');
                 return Err(ParseError::new(
-                    format!("unexpected character `{}`", self.peek() as char),
-                    Span::new(self.pos as u32, self.pos as u32 + 1),
-                ))
+                    format!("unexpected character `{c}`"),
+                    Span::new(self.pos as u32, (self.pos + c.len_utf8()) as u32),
+                ));
             }
         };
         self.pos += len;
@@ -875,6 +876,23 @@ mod tests {
     fn stray_character_errors() {
         let err = Lexer::new("<?php ^;").tokenize().unwrap_err();
         assert!(err.message.contains("unexpected character"));
+    }
+
+    #[test]
+    fn stray_non_ascii_character_is_named_whole() {
+        let src = "<?php $x = 1; \u{e9};";
+        let err = Lexer::new(src).tokenize().unwrap_err();
+        assert_eq!(err.message, "unexpected character `\u{e9}`");
+        assert_eq!(err.span.slice(src), "\u{e9}");
+    }
+
+    #[test]
+    fn backslash_at_eof_error_span_ends_at_the_source() {
+        for src in ["<?php $x = 'abc\\", "<?php $x = \"abc\\"] {
+            let err = Lexer::new(src).tokenize().unwrap_err();
+            assert!(err.message.contains("unterminated string"), "{src}");
+            assert_eq!(err.span.slice(src), &src[11..], "{src}");
+        }
     }
 
     #[test]

@@ -40,12 +40,51 @@ pub struct Parser<'src> {
     /// The lexer's error, once it has failed; the lookahead is then an
     /// `Eof` standing in for the rest of the stream.
     lex_error: Option<ParseError>,
+    /// Statement and expression nesting levels open at the lookahead.
     depth: usize,
+    /// The operator height (most binary and postfix operator nodes on
+    /// one root-to-leaf path) of the tallest expression finished since
+    /// the innermost open operand began.
+    height: usize,
 }
 
-/// Maximum combined statement/expression nesting depth. Deeper input
-/// is rejected with a parse error instead of overflowing the stack.
+/// Maximum combined nesting depth of statements, parenthesized and
+/// argument expressions, prefix operators, chained assignments and
+/// ternary branches. Deeper input is rejected with a parse error
+/// instead of overflowing the stack.
 const MAX_DEPTH: usize = 64;
+
+/// Maximum operator height of an expression: binary operators
+/// (`.`, `+`, `&&`, `or`, …) and postfix ones (`[i]`, `->p`, `->m()`,
+/// `++`) on one root-to-leaf path. Their chains are parsed by loops,
+/// but they build a left-leaning tree that every later pass walks
+/// recursively; an expression at this bound verifies on a 2 MiB thread
+/// in a debug build.
+const MAX_HEIGHT: usize = 256;
+
+/// The binary operator at `kind` and its binding power (higher binds
+/// tighter), for [`Parser::parse_binary`].
+fn binary_op(kind: &TokenKind<'_>) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 1),
+        TokenKind::AndAnd => (BinOp::And, 2),
+        TokenKind::EqEq => (BinOp::Eq, 3),
+        TokenKind::EqEqEq => (BinOp::StrictEq, 3),
+        TokenKind::NotEq => (BinOp::NotEq, 3),
+        TokenKind::NotEqEq => (BinOp::StrictNotEq, 3),
+        TokenKind::Lt => (BinOp::Lt, 4),
+        TokenKind::Gt => (BinOp::Gt, 4),
+        TokenKind::Le => (BinOp::Le, 4),
+        TokenKind::Ge => (BinOp::Ge, 4),
+        TokenKind::Plus => (BinOp::Add, 5),
+        TokenKind::Minus => (BinOp::Sub, 5),
+        TokenKind::Dot => (BinOp::Concat, 5),
+        TokenKind::Star => (BinOp::Mul, 6),
+        TokenKind::Slash => (BinOp::Div, 6),
+        TokenKind::Percent => (BinOp::Mod, 6),
+        _ => return None,
+    })
+}
 
 /// Length of the longest keyword (`include_once`, `require_once`).
 const KEYWORD_MAX: usize = 12;
@@ -72,6 +111,7 @@ impl<'src> Parser<'src> {
             prev: Span::default(),
             lex_error: None,
             depth: 0,
+            height: 0,
         };
         parser.tok = parser.pull();
         parser.prev = parser.tok.span;
@@ -175,17 +215,26 @@ impl<'src> Parser<'src> {
         ParseError::new(message, self.peek().span)
     }
 
-    // ---- statements ------------------------------------------------
-
-    fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+    /// Runs `parse` one nesting level deeper, or fails past
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
         self.depth += 1;
         let result = if self.depth > MAX_DEPTH {
             Err(self.error_here(format!("nesting deeper than {MAX_DEPTH} levels")))
         } else {
-            self.parse_stmt_inner()
+            parse(self)
         };
         self.depth -= 1;
         result
+    }
+
+    // ---- statements ------------------------------------------------
+
+    fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::parse_stmt_inner)
     }
 
     fn parse_stmt_inner(&mut self) -> Result<Stmt, ParseError> {
@@ -695,18 +744,13 @@ impl<'src> Parser<'src> {
 
     /// Entry point: lowest precedence (`or` / `xor` / `and` keywords).
     pub(crate) fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.depth += 1;
-        let result = if self.depth > MAX_DEPTH {
-            Err(self.error_here(format!("nesting deeper than {MAX_DEPTH} levels")))
-        } else {
-            self.parse_expr_inner()
-        };
-        self.depth -= 1;
-        result
+        self.nested(Self::parse_expr_inner)
     }
 
     fn parse_expr_inner(&mut self) -> Result<Expr, ParseError> {
+        let outer = std::mem::take(&mut self.height);
         let mut left = self.parse_assignment()?;
+        let mut height = self.height;
         loop {
             let op = if self.at_ident("or") {
                 BinOp::Or
@@ -718,42 +762,64 @@ impl<'src> Parser<'src> {
                 break;
             };
             self.bump();
+            self.height = 0;
             let right = self.parse_assignment()?;
+            self.raise(&mut height)?;
             left = Expr::Binary {
                 op,
                 left: Box::new(left),
                 right: Box::new(right),
             };
         }
+        self.height = outer.max(height);
         Ok(left)
     }
 
     fn parse_assignment(&mut self) -> Result<Expr, ParseError> {
         let start = self.peek().span;
         let target = self.parse_ternary()?;
-        let op = match self.peek_kind() {
+        self.parse_assignment_from(start, target)
+    }
+
+    /// `target`, parsed from `start`, or the assignment it begins when
+    /// an assignment operator follows. Assignments are right-associative:
+    /// in `$a = $b .= value` the second is the first's value, one nesting
+    /// level deeper.
+    fn parse_assignment_from(&mut self, start: Span, target: Expr) -> Result<Expr, ParseError> {
+        let Some(op) = self.assign_op() else {
+            return Ok(target);
+        };
+        let op_span = self.bump().span;
+        let target = Self::expr_to_lvalue(target)
+            .ok_or_else(|| ParseError::new("invalid assignment target", op_span))?;
+        // `$a = &$b;` reference assignment — modeled as a copy.
+        if self.at(TokenKind::Amp) {
+            self.bump();
+        }
+        let value_start = self.peek().span;
+        let mut value = self.parse_ternary()?;
+        if self.assign_op().is_some() {
+            value = self.nested(|p| p.parse_assignment_from(value_start, value))?;
+        }
+        let end = self.prev_span();
+        Ok(Expr::Assign {
+            target,
+            op,
+            value: Box::new(value),
+            span: start.merge(end),
+        })
+    }
+
+    /// The assignment operator at the lookahead, if any.
+    fn assign_op(&self) -> Option<AssignOp> {
+        Some(match self.peek_kind() {
             TokenKind::Assign => AssignOp::Assign,
             TokenKind::PlusAssign => AssignOp::Add,
             TokenKind::MinusAssign => AssignOp::Sub,
             TokenKind::MulAssign => AssignOp::Mul,
             TokenKind::DivAssign => AssignOp::Div,
             TokenKind::DotAssign => AssignOp::Concat,
-            _ => return Ok(target),
-        };
-        let op_span = self.bump().span;
-        let lvalue = Self::expr_to_lvalue(target)
-            .ok_or_else(|| ParseError::new("invalid assignment target", op_span))?;
-        // `$a = &$b;` reference assignment — modeled as a copy.
-        if self.at(TokenKind::Amp) {
-            self.bump();
-        }
-        let value = self.parse_assignment()?; // right-associative
-        let end = self.prev_span();
-        Ok(Expr::Assign {
-            target: lvalue,
-            op,
-            value: Box::new(value),
-            span: start.merge(end),
+            _ => return None,
         })
     }
 
@@ -786,7 +852,7 @@ impl<'src> Parser<'src> {
     }
 
     fn parse_ternary(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.parse_or()?;
+        let cond = self.parse_binary(1)?;
         if !self.at(TokenKind::Question) {
             return Ok(cond);
         }
@@ -794,16 +860,16 @@ impl<'src> Parser<'src> {
         if self.at(TokenKind::Colon) {
             // `?:` short ternary.
             self.bump();
-            let otherwise = self.parse_assignment()?;
+            let otherwise = self.nested(Self::parse_assignment)?;
             return Ok(Expr::Ternary {
                 cond: Box::new(cond),
                 then: None,
                 otherwise: Box::new(otherwise),
             });
         }
-        let then = self.parse_assignment()?;
+        let then = self.nested(Self::parse_assignment)?;
         self.expect(TokenKind::Colon)?;
-        let otherwise = self.parse_assignment()?;
+        let otherwise = self.nested(Self::parse_assignment)?;
         Ok(Expr::Ternary {
             cond: Box::new(cond),
             then: Some(Box::new(then)),
@@ -811,121 +877,48 @@ impl<'src> Parser<'src> {
         })
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_and()?;
-        while self.at(TokenKind::OrOr) {
-            self.bump();
-            let right = self.parse_and()?;
-            left = Expr::Binary {
-                op: BinOp::Or,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_equality()?;
-        while self.at(TokenKind::AndAnd) {
-            self.bump();
-            let right = self.parse_equality()?;
-            left = Expr::Binary {
-                op: BinOp::And,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_relational()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::EqEqEq => BinOp::StrictEq,
-                TokenKind::NotEq => BinOp::NotEq,
-                TokenKind::NotEqEq => BinOp::StrictNotEq,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_relational()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_relational(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_additive()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_additive()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                TokenKind::Dot => BinOp::Concat,
-                _ => break,
-            };
-            self.bump();
-            let right = self.parse_multiplicative()?;
-            left = Expr::Binary {
-                op,
-                left: Box::new(left),
-                right: Box::new(right),
-            };
-        }
-        Ok(left)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// The binary operators from `||` to `%` by precedence climbing:
+    /// one loop over [`binary_op`]'s binding powers. All of them are
+    /// left-associative, so a right operand takes only operators that
+    /// bind tighter than its own.
+    fn parse_binary(&mut self, min_power: u8) -> Result<Expr, ParseError> {
+        let outer = std::mem::take(&mut self.height);
         let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
+        let mut height = self.height;
+        while let Some((op, power)) = binary_op(self.peek_kind()) {
+            if power < min_power {
+                break;
+            }
             self.bump();
-            let right = self.parse_unary()?;
+            self.height = 0;
+            let right = self.parse_binary(power + 1)?;
+            self.raise(&mut height)?;
             left = Expr::Binary {
                 op,
                 left: Box::new(left),
                 right: Box::new(right),
             };
         }
+        self.height = outer.max(height);
         Ok(left)
+    }
+
+    /// Puts one operator node over an operand of height `height` and
+    /// operands of height `self.height`, raising `height` to the node's;
+    /// fails past [`MAX_HEIGHT`].
+    fn raise(&mut self, height: &mut usize) -> Result<(), ParseError> {
+        *height = (*height).max(self.height) + 1;
+        if *height > MAX_HEIGHT {
+            return Err(self.error_here(format!("nesting deeper than {MAX_HEIGHT} operators")));
+        }
+        Ok(())
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
         match self.peek_kind() {
             TokenKind::Not => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary {
                     op: UnOp::Not,
                     expr: Box::new(e),
@@ -933,7 +926,7 @@ impl<'src> Parser<'src> {
             }
             TokenKind::Minus => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary {
                     op: UnOp::Neg,
                     expr: Box::new(e),
@@ -941,7 +934,7 @@ impl<'src> Parser<'src> {
             }
             TokenKind::Plus => {
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary {
                     op: UnOp::Plus,
                     expr: Box::new(e),
@@ -950,7 +943,7 @@ impl<'src> Parser<'src> {
             TokenKind::At => {
                 // `@expr` error suppression; mark calls, otherwise drop.
                 self.bump();
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 Ok(match e {
                     Expr::Call {
                         name, args, span, ..
@@ -965,7 +958,7 @@ impl<'src> Parser<'src> {
             }
             TokenKind::Inc | TokenKind::Dec => {
                 let span = self.bump().span;
-                let e = self.parse_unary()?;
+                let e = self.nested(Self::parse_unary)?;
                 let target = Self::expr_to_lvalue(e)
                     .ok_or_else(|| ParseError::new("invalid increment target", span))?;
                 Ok(Expr::IncDec { target })
@@ -975,8 +968,11 @@ impl<'src> Parser<'src> {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
+        let outer = std::mem::take(&mut self.height);
         let mut e = self.parse_primary()?;
+        let mut height = self.height;
         loop {
+            self.height = 0;
             match self.peek_kind() {
                 TokenKind::LBracket => {
                     self.bump();
@@ -1027,7 +1023,9 @@ impl<'src> Parser<'src> {
                 }
                 _ => break,
             }
+            self.raise(&mut height)?;
         }
+        self.height = outer.max(height);
         Ok(e)
     }
 
@@ -1121,7 +1119,7 @@ impl<'src> Parser<'src> {
                     }
                     "print" => {
                         let start = self.bump().span;
-                        let arg = self.parse_assignment()?;
+                        let arg = self.nested(Self::parse_assignment)?;
                         let end = self.prev_span();
                         Ok(Expr::Call {
                             name: "print".to_owned(),

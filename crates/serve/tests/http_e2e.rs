@@ -377,6 +377,43 @@ fn malformed_requests_get_clean_errors_and_the_server_survives() {
 }
 
 #[test]
+fn deeply_nested_source_is_a_parse_error_and_the_server_survives() {
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    // 20,000 levels: each shape used to overflow a worker's stack and
+    // abort the daemon.
+    let deep = [
+        format!("<?php $x = {}1;", "!".repeat(20_000)),
+        format!("<?php $x = {}f();", "@".repeat(20_000)),
+        format!("<?php {}1;", "$a = ".repeat(20_000)),
+        format!("<?php $x = {}1;", "1 ? 1 : ".repeat(20_000)),
+        format!("<?php $x = $a{};", " . $a".repeat(20_000)),
+    ];
+    for (i, body) in deep.iter().enumerate() {
+        let response = post(addr, &format!("/verify?file=deep{i}.php"), "", body);
+        assert_eq!(status_of(&response), 200, "{response}");
+        let v = json_of(&response);
+        let file = format!("deep{i}.php");
+        assert_eq!(v.get("file").and_then(Value::as_str), Some(file.as_str()));
+        assert_eq!(
+            v.get("outcome").and_then(Value::as_str),
+            Some("parse-error")
+        );
+        let error = v.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(error.contains("nesting deeper than"), "{error}");
+        // The next request, on a new connection, is answered.
+        let health = get(addr, "/healthz");
+        assert_eq!(status_of(&health), 200);
+    }
+    let response = post(addr, "/verify?file=index.php", "", SQLI);
+    assert_eq!(
+        json_of(&response).get("outcome").and_then(Value::as_str),
+        Some("vulnerable"),
+    );
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
 fn shutdown_flushes_the_cache_and_a_restart_rewarms_it() {
     let dir = std::env::temp_dir().join(format!(
         "webssari-serve-e2e-{}-{:?}",

@@ -6,7 +6,8 @@
 //! Each row of `tests/fixtures/front_end_golden.txt` is
 //! `name<TAB>result`, where the result is `ok <bytes> <fnv64>` (the
 //! length and FNV-1a hash of the `Program`'s `Debug` text) or
-//! `err <Display text of the ParseError>`. Corpus rows hash every
+//! `err <Display text of the ParseError>`; every error's span must
+//! slice its source. Corpus rows hash every
 //! file's row of one project. A lexer or parser change must reproduce
 //! the table byte for byte; after an intended change, rewrite it with
 //!
@@ -56,7 +57,13 @@ fn result_of(src: &str) -> String {
             write!(h, "{program:?}").expect("hashing cannot fail");
             format!("ok {} {:016x}", h.len, h.hash)
         }
-        Err(e) => format!("err {e}"),
+        Err(e) => {
+            // Every error span selects text of its own source: this
+            // panics if a span ends past the source or inside a
+            // character.
+            e.span.slice(src);
+            format!("err {e}")
+        }
     }
 }
 
