@@ -17,27 +17,16 @@
 //!
 //! A long-lived daemon cannot let the warm cache grow without bound.
 //! [`CacheCaps`] bounds the entry count and the (approximate,
-//! serialized-JSON) byte footprint; when an insert pushes past either
-//! cap the least-recently-*used* entries are evicted — both lookups
-//! and inserts refresh recency, so a steadily re-verified hot set
-//! survives cold scans. Eviction only ever costs future speed: an
-//! evicted file is simply re-verified on its next appearance. Because
-//! [`CacheShards::save`] serializes the *live* in-memory entries, a flush
-//! after eviction compacts the on-disk file for free — dropped entries
-//! are never rewritten.
-//!
-//! ## Sharding
-//!
-//! [`CacheShards`] splits one logical cache into N independent shards
-//! selected by a hash of the file name, each behind its own lock, so
-//! under concurrent `/verify` traffic lookups on distinct files never
-//! contend on a single mutex. Routing by name rather than content key
-//! keeps every version of a file in one shard: an edited file's new
-//! entry replaces its stale one instead of sitting beside it in
-//! another shard, where both would count against the caps and `save`
-//! could keep the stale one. Shard choice is invisible in every
-//! report: it decides which lock a lookup takes, never what the lookup
-//! returns.
+//! serialized-JSON) byte footprint of the whole cache; when an insert
+//! pushes past either cap the least-recently-*used* entries are
+//! evicted — both lookups and inserts refresh recency, so a steadily
+//! re-verified hot set survives cold scans. The caps are exact: the
+//! cache never holds more than they allow, and the entries it keeps
+//! are the most recently used ones, whatever their names. Eviction
+//! only ever costs future speed: an evicted file is simply re-verified
+//! on its next appearance. Because [`Cache::save`] serializes the
+//! *live* in-memory entries, a flush after eviction compacts the
+//! on-disk file for free — dropped entries are never rewritten.
 //!
 //! ## Store parts
 //!
@@ -65,10 +54,9 @@ const FORMAT_VERSION: u64 = 1;
 /// File name used inside the cache directory.
 pub const CACHE_FILE_NAME: &str = "webssari-cache.json";
 
-/// Size caps for one cache (or one logical sharded cache). `None`
-/// means unlimited. Caps are excluded from the configuration
-/// fingerprint by design: they decide what stays *warm*, never what a
-/// verdict *is*.
+/// Size caps for the cache. `None` means unlimited. Caps are excluded
+/// from the configuration fingerprint by design: they decide what
+/// stays *warm*, never what a verdict *is*.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCaps {
     /// Maximum number of cached entries.
@@ -88,32 +76,15 @@ impl CacheCaps {
     pub fn is_bounded(&self) -> bool {
         self.max_entries.is_some() || self.max_bytes.is_some()
     }
-
-    /// Splits a global cap across `n` shards: shard `i` receives the
-    /// floor share plus one unit of the remainder, so the shard caps
-    /// sum exactly to the global cap.
-    fn split(&self, n: usize, i: usize) -> CacheCaps {
-        fn share(total: Option<usize>, n: usize, i: usize) -> Option<usize> {
-            total.map(|t| {
-                let base = t / n;
-                let extra = usize::from(i < t % n);
-                (base + extra).max(1)
-            })
-        }
-        CacheCaps {
-            max_entries: share(self.max_entries, n, i),
-            max_bytes: share(self.max_bytes, n, i),
-        }
-    }
 }
 
 /// One cached verification result.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CacheEntry {
+#[derive(Debug)]
+struct CacheEntry {
     /// Content key of the sources this summary was computed from.
-    pub content_key: u64,
+    content_key: u64,
     /// The cached per-file summary.
-    pub summary: FileSummary,
+    summary: FileSummary,
     /// Recency stamp; larger means used more recently. Not persisted —
     /// a reloaded cache starts with fresh, insertion-ordered recency.
     last_used: u64,
@@ -124,80 +95,38 @@ pub struct CacheEntry {
     part: Option<Arc<StoreSummary>>,
 }
 
-/// An in-memory cache bound to one configuration fingerprint.
-#[derive(Clone, Debug)]
+/// The incremental cache of one configuration fingerprint: every
+/// entry behind one lock, held only for the lookup or insert itself.
+/// See the module docs.
+#[derive(Debug)]
 pub struct Cache {
     fingerprint: String,
-    entries: BTreeMap<String, CacheEntry>,
     caps: CacheCaps,
+    entries: Mutex<Entries>,
+}
+
+/// The entries of a [`Cache`] and their eviction order.
+#[derive(Debug, Default)]
+struct Entries {
+    by_file: BTreeMap<String, CacheEntry>,
     /// `recency stamp → file name`, the eviction order. Invariant: one
     /// entry per cached file, stamps unique (the tick only moves up).
     recency: BTreeMap<u64, String>,
     tick: u64,
     total_bytes: usize,
-    evictions: u64,
 }
 
-impl Cache {
-    /// An empty, uncapped cache for the given fingerprint.
-    pub fn empty(fingerprint: String) -> Self {
-        Cache::empty_with_caps(fingerprint, CacheCaps::unlimited())
+impl Entries {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
     }
 
-    /// An empty cache with eviction caps.
-    pub fn empty_with_caps(fingerprint: String, caps: CacheCaps) -> Self {
-        Cache {
-            fingerprint,
-            entries: BTreeMap::new(),
-            caps,
-            recency: BTreeMap::new(),
-            tick: 0,
-            total_bytes: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The fingerprint this cache is bound to.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    /// The eviction caps.
-    pub fn caps(&self) -> CacheCaps {
-        self.caps
-    }
-
-    /// Number of cached files.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Approximate byte footprint of the cached entries.
-    pub fn approx_bytes(&self) -> usize {
-        self.total_bytes
-    }
-
-    /// Entries evicted by the size caps since this cache was created.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Returns the cached summary for `file` when its content key
-    /// matches, i.e. neither the file nor (for include-bearing files)
-    /// the source set changed since the summary was computed. A hit
-    /// refreshes the entry's recency.
-    pub fn lookup(&mut self, file: &str, content_key: u64) -> Option<&FileSummary> {
-        self.lookup_entry(file, content_key).map(|e| &e.summary)
-    }
-
-    fn lookup_entry(&mut self, file: &str, content_key: u64) -> Option<&CacheEntry> {
+    /// The entry for `file` when its content key matches, refreshing
+    /// its recency.
+    fn lookup(&mut self, file: &str, content_key: u64) -> Option<&CacheEntry> {
         let tick = self.next_tick();
-        let entry = self.entries.get_mut(file)?;
+        let entry = self.by_file.get_mut(file)?;
         if entry.content_key != content_key {
             return None;
         }
@@ -207,32 +136,11 @@ impl Cache {
         Some(entry)
     }
 
-    /// Keeps `part` as the store part of `file`'s entry, if the entry
-    /// is still the one for `content_key`. Recency is left alone.
-    fn attach_part(&mut self, file: &str, content_key: u64, part: Arc<StoreSummary>) {
-        if let Some(entry) = self.entries.get_mut(file) {
-            if entry.content_key == content_key {
-                entry.part = Some(part);
-            }
-        }
-    }
-
-    /// Number of entries holding a store part.
-    fn store_parts(&self) -> usize {
-        self.entries.values().filter(|e| e.part.is_some()).count()
-    }
-
-    /// Records a conclusive verification result, evicting
-    /// least-recently-used entries if a cap is exceeded. Returns how
-    /// many entries were evicted. `Timeout` and `ParseError` summaries
-    /// are rejected — they describe the run, not the program.
-    pub fn insert(&mut self, content_key: u64, summary: FileSummary) -> u64 {
-        if matches!(
-            summary.outcome,
-            FileOutcome::Timeout | FileOutcome::ParseError
-        ) {
-            return 0;
-        }
+    /// Inserts or replaces `summary`'s entry, then evicts LRU entries
+    /// until both caps hold; returns how many were evicted. The newest
+    /// entry is evictable too (a single entry larger than `max_bytes`
+    /// leaves the cache empty rather than permanently over cap).
+    fn insert(&mut self, caps: CacheCaps, content_key: u64, summary: FileSummary) -> u64 {
         let tick = self.next_tick();
         let approx_bytes = entry_json_len(&summary.file, content_key, &summary);
         let file = summary.file.clone();
@@ -243,48 +151,166 @@ impl Cache {
             approx_bytes,
             part: None,
         };
-        if let Some(old) = self.entries.insert(file.clone(), entry) {
+        if let Some(old) = self.by_file.insert(file.clone(), entry) {
             self.recency.remove(&old.last_used);
             self.total_bytes -= old.approx_bytes;
         }
         self.recency.insert(tick, file);
         self.total_bytes += approx_bytes;
-        self.enforce_caps()
-    }
 
-    /// Evicts LRU entries until both caps hold. The newest entry is
-    /// evictable too (a single entry larger than `max_bytes` leaves
-    /// the cache empty rather than permanently over cap).
-    fn enforce_caps(&mut self) -> u64 {
         let mut evicted = 0u64;
-        loop {
-            let over_entries = self
-                .caps
-                .max_entries
-                .is_some_and(|cap| self.entries.len() > cap);
-            let over_bytes = self
-                .caps
-                .max_bytes
-                .is_some_and(|cap| self.total_bytes > cap);
-            if !(over_entries || over_bytes) {
-                break;
-            }
-            let Some((&stamp, _)) = self.recency.iter().next() else {
+        while caps.max_entries.is_some_and(|cap| self.by_file.len() > cap)
+            || caps.max_bytes.is_some_and(|cap| self.total_bytes > cap)
+        {
+            let Some((_, file)) = self.recency.pop_first() else {
                 break;
             };
-            let file = self.recency.remove(&stamp).expect("stamp just observed");
-            if let Some(old) = self.entries.remove(&file) {
+            if let Some(old) = self.by_file.remove(&file) {
                 self.total_bytes -= old.approx_bytes;
             }
             evicted += 1;
         }
-        self.evictions += evicted;
         evicted
     }
+}
 
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+impl Cache {
+    /// An empty cache for `fingerprint`, evicting past `caps`.
+    pub fn new(fingerprint: &str, caps: CacheCaps) -> Self {
+        Cache {
+            fingerprint: fingerprint.to_owned(),
+            caps,
+            entries: Mutex::new(Entries::default()),
+        }
+    }
+
+    /// Loads the persisted cache file from `dir`. A missing,
+    /// unreadable or corrupt file, or one written under a different
+    /// configuration fingerprint or format version, loads as empty. A
+    /// persisted cache larger than `caps` is trimmed on load, in
+    /// file-name order (on-disk recency is not persisted).
+    pub fn load(dir: &Path, fingerprint: &str, caps: CacheCaps) -> Self {
+        let cache = Cache::new(fingerprint, caps);
+        let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)) else {
+            return cache;
+        };
+        let Some(root) = parse(&text) else {
+            return cache;
+        };
+        if root.get("version").and_then(Value::as_u64) != Some(FORMAT_VERSION)
+            || root.get("fingerprint").and_then(Value::as_str) != Some(fingerprint)
+        {
+            return cache;
+        }
+        let Some(entries) = root.get("entries").and_then(Value::as_arr) else {
+            return cache;
+        };
+        for (content_key, summary) in entries.iter().filter_map(entry_from_value) {
+            cache.insert(content_key, summary);
+        }
+        cache
+    }
+
+    /// Returns the cached summary for `file` when its content key
+    /// matches, i.e. neither the file nor (for include-bearing files)
+    /// the source set changed since the summary was computed, with the
+    /// store part if one is held. Both are cloned out, so the lock is
+    /// held only for the lookup itself. A hit refreshes the entry's
+    /// recency.
+    pub fn lookup(
+        &self,
+        file: &str,
+        content_key: u64,
+    ) -> Option<(FileSummary, Option<Arc<StoreSummary>>)> {
+        self.lock()
+            .lookup(file, content_key)
+            .map(|e| (e.summary.clone(), e.part.clone()))
+    }
+
+    /// Records a conclusive verification result, evicting
+    /// least-recently-used entries if a cap is exceeded. Returns how
+    /// many entries were evicted. `Timeout` and `ParseError` summaries
+    /// are rejected — they describe the run, not the program.
+    pub fn insert(&self, content_key: u64, summary: FileSummary) -> u64 {
+        if matches!(
+            summary.outcome,
+            FileOutcome::Timeout | FileOutcome::ParseError
+        ) {
+            return 0;
+        }
+        self.lock().insert(self.caps, content_key, summary)
+    }
+
+    /// Keeps `part` as the store part of `file`'s entry, if the entry
+    /// is still the one for `content_key`. Recency is left alone.
+    pub fn attach_part(&self, file: &str, content_key: u64, part: Arc<StoreSummary>) {
+        if let Some(entry) = self.lock().by_file.get_mut(file) {
+            if entry.content_key == content_key {
+                entry.part = Some(part);
+            }
+        }
+    }
+
+    /// Number of entries holding a store part.
+    pub fn store_parts(&self) -> usize {
+        self.lock()
+            .by_file
+            .values()
+            .filter(|e| e.part.is_some())
+            .count()
+    }
+
+    /// Number of cached files.
+    pub fn len(&self) -> usize {
+        self.lock().by_file.len()
+    }
+
+    /// Whether the cache holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate byte footprint of the cached entries.
+    pub fn approx_bytes(&self) -> usize {
+        self.lock().total_bytes
+    }
+
+    /// The cache document: version, fingerprint and the live entries
+    /// in file-name order. The output is byte-stable regardless of
+    /// access history. Store parts are never serialized.
+    pub fn to_json(&self) -> String {
+        let entries = self.lock();
+        let values = entries
+            .by_file
+            .iter()
+            .map(|(file, entry)| entry_to_value(file, entry.content_key, &entry.summary))
+            .collect();
+        Value::obj(vec![
+            ("version", Value::Num(FORMAT_VERSION)),
+            ("fingerprint", Value::str(self.fingerprint.clone())),
+            ("entries", Value::Arr(values)),
+        ])
+        .to_json()
+    }
+
+    /// Writes [`Cache::to_json`] into `dir` (created if missing). Only
+    /// live entries are serialized, so a save after eviction
+    /// *compacts* the on-disk file: evicted entries are dropped, not
+    /// rewritten.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors; the engine reports them without
+    /// failing the run — a broken cache only costs future speed.
+    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(CACHE_FILE_NAME);
+        std::fs::write(&path, self.to_json())?;
+        Ok(path)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -315,175 +341,6 @@ fn entry_from_value(value: &Value) -> Option<(u64, FileSummary)> {
         return None;
     }
     Some((content_key, summary))
-}
-
-/// One logical cache split across N independently locked shards
-/// selected by file name. See the module docs.
-#[derive(Debug)]
-pub struct CacheShards {
-    shards: Vec<Mutex<Cache>>,
-}
-
-impl CacheShards {
-    /// `n` empty shards (at least 1) splitting `caps` between them.
-    pub fn new(n: usize, fingerprint: &str, caps: CacheCaps) -> Self {
-        let n = n.max(1);
-        CacheShards {
-            shards: (0..n)
-                .map(|i| {
-                    Mutex::new(Cache::empty_with_caps(
-                        fingerprint.to_owned(),
-                        caps.split(n, i),
-                    ))
-                })
-                .collect(),
-        }
-    }
-
-    /// Loads the single persisted cache file from `dir` and partitions
-    /// its entries across `n` shards by file name. A missing,
-    /// unreadable or corrupt file, or one written under a different
-    /// configuration fingerprint or format version, loads as empty. A
-    /// persisted cache larger than `caps` is trimmed on load (in
-    /// file-name order, since on-disk recency is not persisted).
-    pub fn load(dir: &Path, n: usize, fingerprint: &str, caps: CacheCaps) -> Self {
-        let shards = CacheShards::new(n, fingerprint, caps);
-        let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)) else {
-            return shards;
-        };
-        let Some(root) = parse(&text) else {
-            return shards;
-        };
-        if root.get("version").and_then(Value::as_u64) != Some(FORMAT_VERSION)
-            || root.get("fingerprint").and_then(Value::as_str) != Some(fingerprint)
-        {
-            return shards;
-        }
-        let Some(entries) = root.get("entries").and_then(Value::as_arr) else {
-            return shards;
-        };
-        for (content_key, summary) in entries.iter().filter_map(entry_from_value) {
-            shards.insert(content_key, summary);
-        }
-        shards
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Which shard a file routes to: FNV-1a of its name, modulo the
-    /// shard count (the serve event loop picks a `/verify` lane the
-    /// same way).
-    pub fn shard_of(&self, file: &str) -> usize {
-        (hash::fnv1a_64(file.as_bytes()) % self.shards.len() as u64) as usize
-    }
-
-    /// Looks up `file` in its shard, cloning the summary and the store
-    /// part (if one is held) out so the shard lock is held only for the
-    /// lookup itself.
-    pub fn lookup(
-        &self,
-        file: &str,
-        content_key: u64,
-    ) -> Option<(FileSummary, Option<Arc<StoreSummary>>)> {
-        self.shard(self.shard_of(file))
-            .lookup_entry(file, content_key)
-            .map(|e| (e.summary.clone(), e.part.clone()))
-    }
-
-    /// Inserts into the owning shard; returns how many entries the
-    /// shard evicted to stay under its caps.
-    pub fn insert(&self, content_key: u64, summary: FileSummary) -> u64 {
-        self.shard(self.shard_of(&summary.file))
-            .insert(content_key, summary)
-    }
-
-    /// Keeps `part` as the store part of `file`'s entry in the owning
-    /// shard, if the entry is still the one for `content_key`.
-    pub fn attach_part(&self, file: &str, content_key: u64, part: Arc<StoreSummary>) {
-        self.shard(self.shard_of(file))
-            .attach_part(file, content_key, part);
-    }
-
-    /// Entries holding a store part, across shards.
-    pub fn store_parts(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).store_parts()).sum()
-    }
-
-    /// Total entries across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries in one shard (gauge fodder).
-    pub fn shard_len(&self, i: usize) -> usize {
-        lock(&self.shards[i]).len()
-    }
-
-    /// Approximate byte footprint across shards.
-    pub fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).approx_bytes()).sum()
-    }
-
-    /// Total evictions across shards since creation.
-    pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| lock(s).evictions()).sum()
-    }
-
-    /// Merges every shard into one cache document: version,
-    /// fingerprint and the live entries in file-name order. The output
-    /// is byte-stable regardless of shard count or access history, and
-    /// [`CacheShards::load`] partitions it back, so shard count can
-    /// change between runs. Store parts are never serialized.
-    pub fn to_json(&self) -> String {
-        let mut merged: BTreeMap<String, Value> = BTreeMap::new();
-        let mut fingerprint = String::new();
-        for shard in &self.shards {
-            let shard = lock(shard);
-            fingerprint = shard.fingerprint().to_owned();
-            for (file, entry) in &shard.entries {
-                let value = entry_to_value(file, entry.content_key, &entry.summary);
-                merged.insert(file.clone(), value);
-            }
-        }
-        Value::obj(vec![
-            ("version", Value::Num(FORMAT_VERSION)),
-            ("fingerprint", Value::str(fingerprint)),
-            ("entries", Value::Arr(merged.into_values().collect())),
-        ])
-        .to_json()
-    }
-
-    /// Writes [`CacheShards::to_json`] into `dir` (created if
-    /// missing). Only live entries are serialized, so a save after
-    /// eviction *compacts* the on-disk file: evicted entries are
-    /// dropped, not rewritten.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; the engine reports them without
-    /// failing the run — a broken cache only costs future speed.
-    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(CACHE_FILE_NAME);
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    fn shard(&self, i: usize) -> MutexGuard<'_, Cache> {
-        lock(&self.shards[i])
-    }
-}
-
-fn lock(shard: &Mutex<Cache>) -> MutexGuard<'_, Cache> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -519,7 +376,7 @@ mod tests {
 
     #[test]
     fn lookup_requires_matching_key() {
-        let mut cache = Cache::empty("fp".to_owned());
+        let cache = Cache::new("fp", CacheCaps::unlimited());
         cache.insert(42, sample_summary("a.php", FileOutcome::Vulnerable));
         assert!(cache.lookup("a.php", 42).is_some());
         assert!(cache.lookup("a.php", 43).is_none());
@@ -528,7 +385,7 @@ mod tests {
 
     #[test]
     fn inconclusive_outcomes_are_never_cached() {
-        let mut cache = Cache::empty("fp".to_owned());
+        let cache = Cache::new("fp", CacheCaps::unlimited());
         cache.insert(1, sample_summary("t.php", FileOutcome::Timeout));
         cache.insert(2, sample_summary("p.php", FileOutcome::ParseError));
         assert!(cache.is_empty());
@@ -541,12 +398,12 @@ mod tests {
             std::process::id(),
             std::thread::current().id(),
         ));
-        let cache = CacheShards::new(1, "fp v1", CacheCaps::unlimited());
+        let cache = Cache::new("fp v1", CacheCaps::unlimited());
         cache.insert(7, sample_summary("a.php", FileOutcome::Verified));
         cache.insert(9, sample_summary("b.php", FileOutcome::Vulnerable));
         cache.save(&dir).unwrap();
 
-        let loaded = CacheShards::load(&dir, 1, "fp v1", CacheCaps::unlimited());
+        let loaded = Cache::load(&dir, "fp v1", CacheCaps::unlimited());
         assert_eq!(loaded.len(), 2);
         assert_eq!(
             loaded.lookup("a.php", 7).map(|(s, _)| s.outcome),
@@ -554,7 +411,7 @@ mod tests {
         );
 
         // A different fingerprint discards everything.
-        let other = CacheShards::load(&dir, 1, "fp v2", CacheCaps::unlimited());
+        let other = Cache::load(&dir, "fp v2", CacheCaps::unlimited());
         assert!(other.is_empty());
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -569,18 +426,22 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(CACHE_FILE_NAME), "{ not json").unwrap();
-        assert!(CacheShards::load(&dir, 1, "fp", CacheCaps::unlimited()).is_empty());
+        assert!(Cache::load(&dir, "fp", CacheCaps::unlimited()).is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn to_json_is_deterministic() {
-        let a = CacheShards::new(1, "fp", CacheCaps::unlimited());
+        let a = Cache::new("fp", CacheCaps::unlimited());
         a.insert(1, sample_summary("z.php", FileOutcome::Verified));
         a.insert(2, sample_summary("a.php", FileOutcome::Verified));
-        let b = CacheShards::new(3, "fp", CacheCaps::unlimited());
+        // Other insertion and access orders, and a replaced entry.
+        let b = Cache::new("fp", CacheCaps::unlimited());
+        b.insert(5, sample_summary("z.php", FileOutcome::Vulnerable));
         b.insert(2, sample_summary("a.php", FileOutcome::Verified));
         b.insert(1, sample_summary("z.php", FileOutcome::Verified));
+        assert!(b.lookup("a.php", 2).is_some());
+        assert!(b.lookup("z.php", 1).is_some());
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -590,7 +451,7 @@ mod tests {
             max_entries: Some(2),
             max_bytes: None,
         };
-        let mut cache = Cache::empty_with_caps("fp".to_owned(), caps);
+        let cache = Cache::new("fp", caps);
         assert_eq!(
             cache.insert(1, sample_summary("a.php", FileOutcome::Verified)),
             0
@@ -609,13 +470,12 @@ mod tests {
         assert!(cache.lookup("a.php", 1).is_some());
         assert!(cache.lookup("b.php", 2).is_none(), "LRU entry evicted");
         assert!(cache.lookup("c.php", 3).is_some());
-        assert_eq!(cache.evictions(), 1);
     }
 
     #[test]
     fn byte_cap_evicts_and_save_compacts() {
         let one_entry = {
-            let mut probe = Cache::empty("fp".to_owned());
+            let probe = Cache::new("fp", CacheCaps::unlimited());
             probe.insert(1, sample_summary("a.php", FileOutcome::Verified));
             probe.approx_bytes()
         };
@@ -624,7 +484,7 @@ mod tests {
             // Room for two entries, not three.
             max_bytes: Some(one_entry * 2 + one_entry / 2),
         };
-        let cache = CacheShards::new(1, "fp", caps);
+        let cache = Cache::new("fp", caps);
         cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
         cache.insert(2, sample_summary("b.php", FileOutcome::Verified));
         let evicted = cache.insert(3, sample_summary("c.php", FileOutcome::Verified));
@@ -638,7 +498,7 @@ mod tests {
             std::thread::current().id(),
         ));
         cache.save(&dir).unwrap();
-        let reloaded = CacheShards::load(&dir, 1, "fp", CacheCaps::unlimited());
+        let reloaded = Cache::load(&dir, "fp", CacheCaps::unlimited());
         assert_eq!(reloaded.len(), cache.len());
         assert!(
             reloaded.lookup("a.php", 1).is_none(),
@@ -653,7 +513,7 @@ mod tests {
             max_entries: Some(1),
             max_bytes: None,
         };
-        let mut cache = Cache::empty_with_caps("fp".to_owned(), caps);
+        let cache = Cache::new("fp", caps);
         cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
         // Same file, new contents: replacement, not growth.
         assert_eq!(
@@ -662,72 +522,25 @@ mod tests {
         );
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup("a.php", 9).is_some());
-        assert_eq!(cache.evictions(), 0);
     }
 
     #[test]
-    fn shards_route_consistently_and_merge_on_save() {
-        let shards = CacheShards::new(4, "fp", CacheCaps::unlimited());
-        for i in 0..20u64 {
-            let key = 0x9E3779B97F4A7C15u64.wrapping_mul(i + 1);
-            shards.insert(
-                key,
-                sample_summary(&format!("f{i}.php"), FileOutcome::Verified),
-            );
-        }
-        assert_eq!(shards.len(), 20);
-        // Every file is findable through the routing shard.
-        for i in 0..20u64 {
-            let key = 0x9E3779B97F4A7C15u64.wrapping_mul(i + 1);
-            assert!(shards.lookup(&format!("f{i}.php"), key).is_some());
-        }
-        // More than one shard is populated (keys are well mixed).
-        let populated = (0..4).filter(|&i| shards.shard_len(i) > 0).count();
-        assert!(populated > 1, "all keys landed in one shard");
-
-        let dir = std::env::temp_dir().join(format!(
-            "webssari-cache-shards-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id(),
-        ));
-        shards.save(&dir).unwrap();
-        // A different shard count repartitions the same entries.
-        let reloaded = CacheShards::load(&dir, 3, "fp", CacheCaps::unlimited());
-        assert_eq!(reloaded.len(), 20);
-        // And the merged file equals what a single-shard save writes.
-        let single = CacheShards::load(&dir, 1, "fp", CacheCaps::unlimited());
-        let again = std::env::temp_dir().join(format!(
-            "webssari-cache-shards2-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id(),
-        ));
-        single.save(&again).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(dir.join(CACHE_FILE_NAME)).unwrap(),
-            std::fs::read_to_string(again.join(CACHE_FILE_NAME)).unwrap(),
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&again).unwrap();
-    }
-
-    #[test]
-    fn an_edited_file_keeps_one_entry_across_shards() {
-        // Content keys 1 and 2 fall in different shards of two under
-        // key routing; by name they share one, so the edit replaces
-        // the stale entry.
-        let shards = CacheShards::new(2, "fp", CacheCaps::unlimited());
-        shards.insert(1, sample_summary("a.php", FileOutcome::Verified));
-        shards.insert(2, sample_summary("a.php", FileOutcome::Vulnerable));
-        assert_eq!(shards.len(), 1);
-        assert!(shards.lookup("a.php", 1).is_none());
-        assert!(shards.lookup("a.php", 2).is_some());
+    fn an_edited_file_keeps_one_entry() {
+        // Entries are keyed by file name, so the edit replaces the
+        // stale entry.
+        let cache = Cache::new("fp", CacheCaps::unlimited());
+        cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
+        cache.insert(2, sample_summary("a.php", FileOutcome::Vulnerable));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup("a.php", 1).is_none());
+        assert!(cache.lookup("a.php", 2).is_some());
 
         let dir = std::env::temp_dir().join(format!(
             "webssari-cache-edit-{}-{:?}",
             std::process::id(),
             std::thread::current().id(),
         ));
-        shards.save(&dir).unwrap();
+        cache.save(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join(CACHE_FILE_NAME)).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(text.contains(&hash::to_hex(2)), "{text}");
@@ -740,7 +553,7 @@ mod tests {
             max_entries: Some(2),
             max_bytes: None,
         };
-        let cache = CacheShards::new(1, "fp", caps);
+        let cache = Cache::new("fp", caps);
         cache.insert(1, sample_summary("a.php", FileOutcome::Verified));
         cache.insert(2, sample_summary("b.php", FileOutcome::Verified));
         let json = cache.to_json();
@@ -759,23 +572,6 @@ mod tests {
         cache.insert(4, sample_summary("c.php", FileOutcome::Verified));
         assert!(cache.lookup("a.php", 1).is_none());
         assert_eq!(cache.store_parts(), 0);
-    }
-
-    #[test]
-    fn shard_caps_sum_to_the_global_cap() {
-        let caps = CacheCaps {
-            max_entries: Some(10),
-            max_bytes: Some(1003),
-        };
-        let shards = CacheShards::new(4, "fp", caps);
-        let entry_sum: usize = (0..4)
-            .map(|i| lock(&shards.shards[i]).caps().max_entries.unwrap())
-            .sum();
-        let byte_sum: usize = (0..4)
-            .map(|i| lock(&shards.shards[i]).caps().max_bytes.unwrap())
-            .sum();
-        assert_eq!(entry_sum, 10);
-        assert_eq!(byte_sum, 1003);
     }
 
     /// Text with every character class the JSON writer treats apart:

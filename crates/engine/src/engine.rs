@@ -12,7 +12,7 @@ use webssari_core::{
 };
 use xbmc::XbmcStats;
 
-use crate::cache::{CacheCaps, CacheShards};
+use crate::cache::{Cache, CacheCaps};
 use crate::handle::EngineHandle;
 use crate::hash;
 use crate::metrics::{EngineMetrics, FileMetrics};
@@ -294,7 +294,7 @@ impl Engine {
         report
     }
 
-    /// The shared run pipeline: serves hits from the sharded `cache`,
+    /// The shared run pipeline: serves hits from the warm `cache`,
     /// verifies the rest on the worker pool, folds fresh results back
     /// into `cache`, and bumps `stats` live as each job completes. Does
     /// *not* persist the cache — that is the caller's (handle's)
@@ -308,7 +308,7 @@ impl Engine {
         &self,
         sources: &SourceSet,
         budget: Option<SolveBudget>,
-        cache: &CacheShards,
+        cache: &Cache,
         stats: &EngineStats,
     ) -> EngineReport {
         let started = Instant::now();
@@ -316,8 +316,8 @@ impl Engine {
         let names = content_keys(sources);
 
         // Serve cache hits on this thread; queue the rest. Each lookup
-        // takes only its own shard's lock, so concurrent batches (and
-        // the single-file `/verify` fast path) overlap freely.
+        // holds the cache lock only for itself, so concurrent batches
+        // (and the single-file `/verify` fast path) overlap freely.
         let mut slots: Vec<Option<Slot>> = Vec::with_capacity(names.len());
         slots.resize_with(names.len(), || None);
         let mut jobs: Vec<Job> = Vec::new();
@@ -436,7 +436,7 @@ impl Engine {
     pub(crate) fn run_cached_shared(
         &self,
         sources: &SourceSet,
-        cache: &CacheShards,
+        cache: &Cache,
         stats: &EngineStats,
     ) -> Option<EngineReport> {
         if sources.len() != 1 {
@@ -464,7 +464,7 @@ impl Engine {
         names: Vec<(String, u64)>,
         slots: Vec<Option<Slot>>,
         cell: &StoreCell,
-        cache: &CacheShards,
+        cache: &Cache,
         stats: &EngineStats,
     ) -> EngineReport {
         let built = cell.built_parts();

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use php_front::SourceSet;
 use webssari_core::SolveBudget;
 
-use crate::cache::CacheShards;
+use crate::cache::Cache;
 use crate::engine::{Engine, EngineReport};
 use crate::stats::{EngineSnapshot, EngineStats};
 
@@ -34,20 +34,19 @@ use crate::stats::{EngineSnapshot, EngineStats};
 #[derive(Debug)]
 pub struct EngineHandle {
     engine: Engine,
-    cache: CacheShards,
+    cache: Cache,
     stats: EngineStats,
 }
 
 impl EngineHandle {
-    /// Wraps an engine, loading its persistent cache (if any) once and
-    /// partitioning it across one cache shard per worker.
+    /// Wraps an engine, loading its persistent cache (if any) once
+    /// into one warm cache under the engine's caps.
     pub fn new(engine: Engine) -> Self {
         let fingerprint = engine.fingerprint();
-        let shards = engine.workers;
         let caps = engine.cache_caps;
         let cache = match engine.cache_dir() {
-            Some(dir) => CacheShards::load(dir, shards, &fingerprint, caps),
-            None => CacheShards::new(shards, &fingerprint, caps),
+            Some(dir) => Cache::load(dir, &fingerprint, caps),
+            None => Cache::new(&fingerprint, caps),
         };
         EngineHandle {
             engine,
@@ -77,9 +76,9 @@ impl EngineHandle {
         self.cache.len()
     }
 
-    /// The sharded warm cache (gauge fodder for monitoring endpoints:
-    /// per-shard entry counts, byte footprint, eviction totals).
-    pub fn cache(&self) -> &CacheShards {
+    /// The warm cache (gauge fodder for monitoring endpoints: entry
+    /// count, byte footprint, store parts).
+    pub fn cache(&self) -> &Cache {
         &self.cache
     }
 
@@ -193,6 +192,44 @@ mod tests {
             both.add(&fresh);
         }
         assert_eq!(handle.snapshot().bmc, both);
+    }
+
+    #[test]
+    fn cache_caps_bound_the_whole_cache() {
+        let file = |name: &str| {
+            let mut set = SourceSet::new();
+            set.add_file(name, "<?php $a = 'x'; echo $a;");
+            set
+        };
+        // The FNV-1a hashes of a.php and b.php differ in parity; those
+        // of a.php, c.php, e.php and g.php share it.
+        let one = EngineBuilder::new()
+            .workers(2)
+            .cache_max_entries(1)
+            .build()
+            .into_handle();
+        one.run(&file("a.php"));
+        one.run(&file("b.php"));
+        assert_eq!(one.cached_files(), 1);
+        assert!(one.try_run_cached(&file("b.php")).is_some());
+
+        // With room for two, the two most recently used files stay.
+        let two = EngineBuilder::new()
+            .workers(2)
+            .cache_max_entries(2)
+            .build()
+            .into_handle();
+        for name in ["a.php", "c.php", "e.php"] {
+            two.run(&file(name));
+        }
+        assert!(two.try_run_cached(&file("c.php")).is_some());
+        two.run(&file("g.php"));
+        assert_eq!(two.cached_files(), 2);
+        assert!(two.try_run_cached(&file("c.php")).is_some());
+        assert!(two.try_run_cached(&file("g.php")).is_some());
+        assert!(two.try_run_cached(&file("a.php")).is_none());
+        assert!(two.try_run_cached(&file("e.php")).is_none());
+        assert_eq!(two.snapshot().cache_evictions, 2);
     }
 
     #[test]

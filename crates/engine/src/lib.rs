@@ -60,7 +60,7 @@ pub use jsonio as json;
 /// re-exports keep the historical `webssari_engine` paths working).
 pub use webssari_core::json::{summary_from_value, summary_to_value};
 
-pub use cache::{Cache, CacheCaps, CacheEntry, CacheShards, CACHE_FILE_NAME};
+pub use cache::{Cache, CacheCaps, CACHE_FILE_NAME};
 pub use engine::{Engine, EngineBuilder, EngineFileResult, EngineReport};
 pub use handle::EngineHandle;
 pub use metrics::{EngineMetrics, FileMetrics};

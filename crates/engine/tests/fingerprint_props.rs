@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use webssari_core::{FileOutcome, FileSummary, SolveBudget, Verifier, VerifierBuilder};
-use webssari_engine::{CacheCaps, CacheShards, EngineBuilder};
+use webssari_engine::{Cache, CacheCaps, EngineBuilder};
 
 /// The verifier knobs the fingerprint must track.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,10 +140,10 @@ proptest! {
             std::thread::current().id(),
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = CacheShards::new(1, &fingerprint, CacheCaps::unlimited());
+        let cache = Cache::new(&fingerprint, CacheCaps::unlimited());
         cache.insert(7, summary("a.php"));
         cache.save(&dir).unwrap();
-        let loaded = CacheShards::load(&dir, 1, &fingerprint, CacheCaps::unlimited());
+        let loaded = Cache::load(&dir, &fingerprint, CacheCaps::unlimited());
         prop_assert!(loaded.lookup("a.php", 7).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,8 +1,7 @@
-//! Property tests: the sharded engine (N workers, N cache shards, job
-//! pinning by content hash) must produce reports byte-identical to the
-//! single-worker single-shard path — fresh, from a warm cache, and
-//! under LRU eviction pressure. Sharding is a scheduling and locking
-//! optimization; it must never be observable in a report.
+//! Property tests: the engine at N workers must produce reports
+//! byte-identical to the single-worker path — fresh, from a warm
+//! cache, and under LRU eviction pressure. The worker count is a
+//! scheduling choice; it must never be observable in a report.
 
 use php_front::SourceSet;
 use proptest::prelude::*;
@@ -43,8 +42,8 @@ fn source_set(seed: &Seed) -> SourceSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fresh runs: any worker/shard layout renders the same report as
-    /// the 1-worker 1-shard engine.
+    /// Fresh runs: any worker count renders the same report as the
+    /// 1-worker engine.
     #[test]
     fn sharded_fresh_run_matches_single_shard(seed in seeds(), workers in 2usize..5) {
         let set = source_set(&seed);
@@ -59,7 +58,7 @@ proptest! {
         prop_assert_eq!(
             sharded.render_text(),
             baseline.render_text(),
-            "workers/shards = {}",
+            "workers = {}",
             workers,
         );
         prop_assert_eq!(sharded.vulnerable_files(), baseline.vulnerable_files());
@@ -67,7 +66,7 @@ proptest! {
     }
 
     /// Warm runs: the second pass over an unchanged set is served from
-    /// the sharded cache and still renders byte-identically.
+    /// the warm cache and still renders byte-identically.
     #[test]
     fn sharded_cache_hits_match_single_shard(seed in seeds(), workers in 2usize..5) {
         let set = source_set(&seed);
@@ -92,7 +91,7 @@ proptest! {
 
     /// Eviction pressure: with caps far below the working set, repeat
     /// runs keep evicting, yet every per-file summary still matches
-    /// the uncapped single-shard result. (Whole-report bytes are
+    /// the uncapped single-worker result. (Whole-report bytes are
     /// compared per file: hit/miss *patterns* may legitimately differ
     /// across layouts under pressure, verdicts may not.)
     #[test]
@@ -109,15 +108,11 @@ proptest! {
             .into_handle();
         capped.run(&set);
         let second = capped.run(&set);
-        // Vacuity guard: the cap must actually bite on a 2+-file set
-        // routed through 1-entry shards... unless every file landed in
-        // its own shard. Re-running keys the guard on total capacity.
-        if set.len() > workers {
-            prop_assert!(
-                capped.snapshot().cache_evictions > 0,
-                "caps never evicted: the pressure regime is vacuous",
-            );
-        }
+        // Vacuity guard: a 1-entry cap must bite on every 2+-file set.
+        prop_assert!(
+            capped.snapshot().cache_evictions > 0,
+            "caps never evicted: the pressure regime is vacuous",
+        );
         prop_assert_eq!(second.files.len(), baseline.files.len());
         for (capped_file, base_file) in second.files.iter().zip(baseline.files.iter()) {
             prop_assert_eq!(

@@ -41,8 +41,8 @@ fn outcome(report: &EngineReport, file: &str) -> (FileOutcome, bool) {
 
 /// Editing the writer re-keys the reader on the same warm handle, and
 /// the reader's verdict follows the writer's taint both ways. (Switching
-/// back may be served from the cache: a shard can still hold the entry
-/// of the first batch, under the same key and with the same verdict.)
+/// back may be served from the cache: it can still hold the entry of
+/// the first batch, under the same key and with the same verdict.)
 #[test]
 fn reader_verdict_follows_writer_edits_on_a_warm_handle() {
     for workers in [1, 2] {
@@ -176,7 +176,7 @@ fn a_comment_edit_rebuilds_only_the_rekeyed_parts() {
         // `data.php` publishes; `reader.php` builds its own part and
         // the one of `session.php`.
         assert_parts_built(&report, workers, 2, 1, 3);
-        // Every entry holds a part (a shard may still hold a re-keyed
+        // Every entry holds a part (the cache may still hold a re-keyed
         // file's entry of the first batch, part and all).
         assert_eq!(handle.cache().store_parts(), handle.cached_files());
         assert_eq!(outcome(&report, "reader.php").0, FileOutcome::Vulnerable);

@@ -46,6 +46,8 @@ pub struct Parser<'src> {
     /// one root-to-leaf path) of the tallest expression finished since
     /// the innermost open operand began.
     height: usize,
+    /// `elseif` arms open at the lookahead, over all enclosing `if`s.
+    arms: usize,
 }
 
 /// Maximum combined nesting depth of statements, parenthesized and
@@ -61,6 +63,13 @@ const MAX_DEPTH: usize = 64;
 /// recursively; an expression at this bound verifies on a 2 MiB thread
 /// in a debug build.
 const MAX_HEIGHT: usize = 256;
+
+/// Maximum number of `elseif` (or `else if`) arms open at once, summed
+/// over nested `if`s. The parser reads an arm chain with a loop, but
+/// the filter lowers each arm into the previous arm's `else`, and every
+/// later pass walks that nesting recursively; an `if` with this many
+/// arms verifies on a 2 MiB thread in a debug build.
+const MAX_ARMS: usize = 512;
 
 /// The binary operator at `kind` and its binding power (higher binds
 /// tighter), for [`Parser::parse_binary`].
@@ -112,6 +121,7 @@ impl<'src> Parser<'src> {
             lex_error: None,
             depth: 0,
             height: 0,
+            arms: 0,
         };
         parser.tok = parser.pull();
         parser.prev = parser.tok.span;
@@ -367,17 +377,13 @@ impl<'src> Parser<'src> {
         loop {
             if self.at_ident("elseif") {
                 self.bump();
-                self.expect(TokenKind::LParen)?;
-                let c = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
+                let c = self.parse_arm_condition()?;
                 elseifs.push((c, self.parse_body()?));
             } else if self.at_ident("else") {
                 self.bump();
                 if self.at_ident("if") {
                     self.bump();
-                    self.expect(TokenKind::LParen)?;
-                    let c = self.parse_expr()?;
-                    self.expect(TokenKind::RParen)?;
+                    let c = self.parse_arm_condition()?;
                     elseifs.push((c, self.parse_body()?));
                 } else {
                     else_branch = Some(self.parse_body()?);
@@ -387,6 +393,7 @@ impl<'src> Parser<'src> {
                 break;
             }
         }
+        self.arms -= elseifs.len();
         Ok(Stmt::If {
             cond,
             then_branch,
@@ -394,6 +401,20 @@ impl<'src> Parser<'src> {
             else_branch,
             span: start.merge(close),
         })
+    }
+
+    /// Opens one more `elseif` arm and parses its parenthesized
+    /// condition; fails past [`MAX_ARMS`]. The caller closes its arms
+    /// when the `if` ends.
+    fn parse_arm_condition(&mut self) -> Result<Expr, ParseError> {
+        self.arms += 1;
+        if self.arms > MAX_ARMS {
+            return Err(self.error_here(format!("nesting deeper than {MAX_ARMS} elseif arms")));
+        }
+        self.expect(TokenKind::LParen)?;
+        let cond = self.parse_expr()?;
+        self.expect(TokenKind::RParen)?;
+        Ok(cond)
     }
 
     /// PHP's alternative syntax: `if (c): … elseif (c): … else: … endif;`
@@ -406,9 +427,7 @@ impl<'src> Parser<'src> {
         loop {
             if self.at_ident("elseif") {
                 self.bump();
-                self.expect(TokenKind::LParen)?;
-                let c = self.parse_expr()?;
-                self.expect(TokenKind::RParen)?;
+                let c = self.parse_arm_condition()?;
                 self.expect(TokenKind::Colon)?;
                 elseifs.push((c, self.parse_alt_body(&stop)?));
             } else if self.at_ident("else") {
@@ -423,6 +442,7 @@ impl<'src> Parser<'src> {
                 return Err(self.error_here("expected `elseif`, `else`, or `endif`".into()));
             }
         }
+        self.arms -= elseifs.len();
         Ok(Stmt::If {
             cond,
             then_branch,

@@ -66,6 +66,17 @@ fn other_operator_chains_are_bounded() {
 }
 
 #[test]
+fn elseif_chains_are_bounded() {
+    for arm in [" elseif ($a) { $b = 1; }", " else if ($a) { $b = 1; }"] {
+        assert_too_deep(format!("<?php if ($a) {{ $b = 1; }}{}", arm.repeat(DEEP)));
+    }
+    assert_too_deep(format!(
+        "<?php if ($a): $b = 1;{} endif;",
+        " elseif ($a): $b = 1;".repeat(DEEP)
+    ));
+}
+
+#[test]
 fn operator_height_counts_through_parentheses() {
     // Each parenthesized chain is the leftmost operand of 7 more `.`:
     // 40 levels put 280 operators on one path, though no chain is
@@ -88,4 +99,22 @@ fn the_bounds_admit_realistic_depths() {
     assert_eq!(program.stmts.len(), 1);
     assert!(parse_on_small_stack(format!("<?php {}1;", "$a = ".repeat(60))).is_ok());
     assert!(parse_on_small_stack(format!("<?php $x = {}1;", "1 ? 1 : ".repeat(60))).is_ok());
+    // Arms count over nested `if`s: 2 × 256 arms fit, one more does not.
+    let arms = |n: usize| " elseif ($a) { $b = 1; }".repeat(n);
+    let nested = |inner: usize| {
+        format!(
+            "<?php if ($a) {{ $b = 1; }}{} elseif ($a) {{ if ($a) {{ $b = 1; }}{} }}",
+            arms(255),
+            arms(inner)
+        )
+    };
+    assert!(parse_on_small_stack(nested(256)).is_ok());
+    let err = parse_on_small_stack(nested(257)).expect_err("too many arms");
+    assert_eq!(err.message, "nesting deeper than 512 elseif arms");
+    // Arms of an `if` that has ended are closed again.
+    let siblings = format!(
+        "<?php {}",
+        format!("if ($a) {{ $b = 1; }}{}", arms(512)).repeat(3)
+    );
+    assert!(parse_on_small_stack(siblings).is_ok());
 }

@@ -2,11 +2,11 @@
 //!
 //! A single event-loop thread owns the listener and every client
 //! socket, all nonblocking, multiplexed with [`poll(2)`](crate::poll).
-//! Parsed requests are dispatched to per-worker shard queues; worker
-//! threads run the router (and through it the engine) and hand the
-//! finished [`Response`](crate::http::Response) back via a completion
-//! list plus a loopback wake socket, so the loop never blocks on
-//! verification and a worker never touches a socket.
+//! Parsed requests go onto one bounded dispatch queue; whichever worker
+//! thread is free pops the next, runs the router (and through it the
+//! engine) and hands the finished [`Response`](crate::http::Response)
+//! back via a completion list plus a loopback wake socket, so the loop
+//! never blocks on verification and a worker never touches a socket.
 //!
 //! Connection life cycle:
 //!
@@ -40,13 +40,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use webssari_engine::hash;
-
-use crate::http::{try_parse, Limits, Request, Response};
+use crate::http::{try_parse, Limits, Response};
 use crate::metrics::route_label;
 use crate::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::queue::PushError;
-use crate::router::{route, try_verify_cached, DEFAULT_VERIFY_FILE};
+use crate::router::{route, try_verify_cached};
 use crate::{AppState, QueuedRequest};
 
 /// How long a peer gets to stop sending after its final response.
@@ -138,13 +136,13 @@ pub(crate) fn spawn(
     });
 
     let mut threads = Vec::new();
-    for lane in 0..state.shard_queues.len() {
+    for i in 0..state.config.http_workers.max(1) {
         let state = Arc::clone(&state);
         let shared = Arc::clone(&shared);
         threads.push(
             std::thread::Builder::new()
-                .name(format!("serve-shard-{lane}"))
-                .spawn(move || worker(lane, &state, &shared))?,
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker(&state, &shared))?,
         );
     }
     threads.push(
@@ -169,10 +167,10 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
     Ok((reader, writer))
 }
 
-/// One engine worker: pops its own shard queue, routes, hands the
-/// response back. Exits when its queue is closed and drained.
-fn worker(lane: usize, state: &AppState, shared: &Shared) {
-    while let Some(job) = state.shard_queues[lane].pop() {
+/// One engine worker: pops the dispatch queue, routes, hands the
+/// response back. Exits when the queue is closed and drained.
+fn worker(state: &AppState, shared: &Shared) {
+    while let Some(job) = state.queue.pop() {
         state.metrics.request_started();
         let (label, response) = route(state, &job.request);
         state
@@ -184,20 +182,6 @@ fn worker(lane: usize, state: &AppState, shared: &Shared) {
             keep_alive: job.request.keep_alive(),
         });
     }
-}
-
-/// Which worker lane a request is dispatched to. `/verify` requests
-/// are routed by the same file-name hash the engine's cache shards use
-/// (`CacheShards::shard_of`), so every request for a file — repeat or
-/// edit — lands on the worker whose cache shard owns its entry.
-/// Everything else round-robins.
-fn lane_for(req: &Request, lanes: usize, round_robin: &mut usize) -> usize {
-    if req.path == "/verify" {
-        let name = req.query_param("file").unwrap_or(DEFAULT_VERIFY_FILE);
-        return (hash::fnv1a_64(name.as_bytes()) % lanes as u64) as usize;
-    }
-    *round_robin = (*round_robin + 1) % lanes;
-    *round_robin
 }
 
 #[derive(PartialEq, Eq, Clone, Copy)]
@@ -283,7 +267,6 @@ struct EventLoop {
     /// a vanished peer is discarded instead of crossing slots.
     owner: HashMap<u64, usize>,
     next_token: u64,
-    round_robin: usize,
     drain_deadline: Option<Instant>,
 }
 
@@ -310,7 +293,6 @@ impl EventLoop {
             conns: Vec::new(),
             owner: HashMap::new(),
             next_token: 1,
-            round_robin: 0,
             drain_deadline: None,
         }
     }
@@ -405,11 +387,9 @@ impl EventLoop {
             self.state.metrics.set_connection_gauges(open, idle);
         }
 
-        // Exit: close the shard queues so workers drain and exit, and
-        // drop every remaining connection.
-        for queue in &self.state.shard_queues {
-            queue.close();
-        }
+        // Exit: close the dispatch queue so workers drain and exit,
+        // and drop every remaining connection.
+        self.state.queue.close();
     }
 
     /// Flips into drain mode: stop accepting, shed idle and half-read
@@ -620,8 +600,6 @@ impl EventLoop {
                         return; // still flushing, or lingering close
                     }
                     let conn = self.conns[slot].as_mut().expect("checked above");
-                    let lanes = self.state.shard_queues.len();
-                    let lane = lane_for(&request, lanes, &mut self.round_robin);
                     let token = self.next_token;
                     self.next_token += 1;
                     let job = QueuedRequest {
@@ -629,7 +607,7 @@ impl EventLoop {
                         request,
                         accepted,
                     };
-                    match self.state.shard_queues[lane].try_push(job) {
+                    match self.state.queue.try_push(job) {
                         Ok(()) => {
                             conn.token = token;
                             conn.phase = Phase::Busy;

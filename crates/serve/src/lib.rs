@@ -20,13 +20,13 @@
 //!
 //! One `poll(2)`-driven event-loop thread (unix only) multiplexes
 //! every connection: HTTP/1.1 keep-alive with pipelining,
-//! per-connection read/idle deadlines, and per-shard dispatch queues
-//! feeding a worker pool. Off unix, [`Server::start`] fails with
+//! per-connection read/idle deadlines, and one dispatch queue that
+//! every worker of the pool pops. Off unix, [`Server::start`] fails with
 //! [`std::io::ErrorKind::Unsupported`].
 //!
 //! ## Robustness
 //!
-//! * dispatch queues are bounded; at capacity requests are shed with
+//! * the dispatch queue is bounded; at capacity requests are shed with
 //!   `429` + `Retry-After` immediately (load shedding, not buffering);
 //! * every request runs under a [`SolveBudget`] deadline — a stuck
 //!   solve degrades to a well-formed `"timeout"` JSON outcome, never a
@@ -69,10 +69,11 @@ pub use signals::{install as install_signal_handlers, request_shutdown, shutdown
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:8077` (`:0` picks a free port).
     pub addr: String,
-    /// Concurrent HTTP worker threads, one per dispatch shard.
+    /// Concurrent HTTP worker threads, all popping the one dispatch
+    /// queue.
     pub http_workers: usize,
-    /// Bounded dispatch-queue depth, split across the worker shards;
-    /// beyond it requests are shed with `429`.
+    /// Capacity of the dispatch queue: requests waiting for a free
+    /// worker; beyond it requests are shed with `429`.
     pub queue_depth: usize,
     /// Default per-request solve deadline; `None` means unlimited.
     /// Clients may lower (never raise) it per request via the
@@ -125,15 +126,15 @@ pub struct QueuedRequest {
 }
 
 /// Everything a request handler can reach: the warm engine handle,
-/// server counters, the dispatch queues, and the config.
+/// server counters, the dispatch queue, and the config.
 #[derive(Debug)]
 pub struct AppState {
     /// The long-lived engine: warm cache + live counters.
     pub engine: EngineHandle,
     /// HTTP-side counters for `/metrics`.
     pub metrics: ServerMetrics,
-    /// One bounded request queue per worker shard.
-    pub shard_queues: Vec<BoundedQueue<QueuedRequest>>,
+    /// The bounded request queue every worker pops.
+    pub queue: BoundedQueue<QueuedRequest>,
     /// The server configuration.
     pub config: ServerConfig,
 }
@@ -142,20 +143,11 @@ impl AppState {
     /// Builds the state for one daemon instance, converting the engine
     /// into a long-lived handle (cache loaded once, here).
     pub fn new(config: ServerConfig, engine: Engine) -> Self {
-        let workers = config.http_workers.max(1);
-        let per_shard = (config.queue_depth / workers).max(1);
-        let shard_queues = (0..workers).map(|_| BoundedQueue::new(per_shard)).collect();
         AppState {
             engine: engine.into_handle(),
             metrics: ServerMetrics::new(),
-            shard_queues,
+            queue: BoundedQueue::new(config.queue_depth),
             config,
         }
-    }
-
-    /// Current depth of each dispatch shard, exported per shard on
-    /// `/metrics`.
-    pub fn shard_depths(&self) -> Vec<usize> {
-        self.shard_queues.iter().map(BoundedQueue::len).collect()
     }
 }

@@ -3,8 +3,9 @@
 //! [`ServerMetrics`] tracks the HTTP side (connections, per-route
 //! request counts and latencies, load-shed rejections);
 //! [`render_prometheus`](ServerMetrics::render_prometheus) merges them
-//! with the engine's live [`EngineSnapshot`] and the shard-queue gauges into
-//! Prometheus text exposition format 0.0.4 for `GET /metrics`.
+//! with the engine's live [`EngineSnapshot`] and the dispatch-queue
+//! gauge into Prometheus text exposition format 0.0.4 for
+//! `GET /metrics`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -95,7 +96,7 @@ impl ServerMetrics {
         self.connections_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a request shed with `429` because its shard queue was
+    /// Counts a request shed with `429` because the dispatch queue was
     /// full.
     pub fn record_rejected(&self) {
         self.rejected_total.fetch_add(1, Ordering::Relaxed);
@@ -142,8 +143,8 @@ impl ServerMetrics {
     }
 
     /// Renders everything as Prometheus text exposition format 0.0.4.
-    /// `shard_depths` is one entry per dispatch shard.
-    pub fn render_prometheus(&self, engine: &EngineSnapshot, shard_depths: &[usize]) -> String {
+    /// `queue_depth` is the number of requests in the dispatch queue.
+    pub fn render_prometheus(&self, engine: &EngineSnapshot, queue_depth: usize) -> String {
         fn metric(out: &mut String, name: &str, kind: &str, help: &str) {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
@@ -277,7 +278,7 @@ impl ServerMetrics {
             &mut out,
             "webssari_queue_rejected_total",
             "counter",
-            "Requests shed with 429 because their dispatch shard was full.",
+            "Requests shed with 429 because the dispatch queue was full.",
         );
         let _ = writeln!(
             out,
@@ -285,20 +286,16 @@ impl ServerMetrics {
             self.rejected_total.load(Ordering::Relaxed),
         );
 
-        if !shard_depths.is_empty() {
-            metric(
-                &mut out,
-                "webssari_shard_queue_depth",
-                "gauge",
-                "Requests waiting in each dispatch shard.",
-            );
-            for (shard, depth) in shard_depths.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "webssari_shard_queue_depth{{shard=\"{shard}\"}} {depth}",
-                );
-            }
-        }
+        metric(
+            &mut out,
+            "webssari_shard_queue_depth",
+            "gauge",
+            "Requests waiting in the dispatch queue.",
+        );
+        let _ = writeln!(
+            out,
+            "webssari_shard_queue_depth{{shard=\"0\"}} {queue_depth}",
+        );
 
         metric(
             &mut out,
@@ -511,7 +508,7 @@ mod tests {
         m.record("/verify", 400, Duration::from_millis(1));
         m.record_rejected();
         m.set_connection_gauges(5, 3);
-        let text = m.render_prometheus(&EngineSnapshot::default(), &[1, 0]);
+        let text = m.render_prometheus(&EngineSnapshot::default(), 1);
         assert!(text.contains("webssari_http_connections_total 1"));
         assert!(text.contains("webssari_http_requests_total{path=\"/verify\",status=\"200\"} 1"));
         assert!(text.contains("webssari_http_requests_total{path=\"/verify\",status=\"400\"} 1"));
@@ -521,7 +518,7 @@ mod tests {
         assert!(text.contains("webssari_http_connections_idle 3"));
         assert!(text.contains("webssari_queue_rejected_total 1"));
         assert!(text.contains("webssari_shard_queue_depth{shard=\"0\"} 1"));
-        assert!(text.contains("webssari_shard_queue_depth{shard=\"1\"} 0"));
+        assert_eq!(text.matches("webssari_shard_queue_depth{").count(), 1);
         assert_eq!(m.requests_with_status(200), 1);
     }
 
@@ -534,7 +531,7 @@ mod tests {
         m.record("/verify", 200, Duration::from_millis(40)); // <= 0.05
         m.request_started();
         m.record("/verify", 200, Duration::from_secs(60)); // +Inf only
-        let text = m.render_prometheus(&EngineSnapshot::default(), &[]);
+        let text = m.render_prometheus(&EngineSnapshot::default(), 0);
         let counts: Vec<u64> = text
             .lines()
             .filter(|l| {
@@ -559,8 +556,9 @@ mod tests {
             "webssari_http_request_duration_seconds_bucket{path=\"/verify\",le=\"0.05\"} 2"
         ));
         assert!(text.contains("webssari_http_request_duration_seconds_count{path=\"/verify\"} 3"));
-        // No shard gauges when no shards were passed.
-        assert!(!text.contains("webssari_shard_queue_depth"));
+        // One depth sample, for the one dispatch queue.
+        assert_eq!(text.matches("webssari_shard_queue_depth{").count(), 1);
+        assert!(text.contains("webssari_shard_queue_depth{shard=\"0\"} 0\n"));
     }
 
     #[test]
@@ -580,7 +578,7 @@ mod tests {
         snap.bmc.cube_assignments = 19;
         snap.bmc.sql_assertions_checked = 4;
         snap.bmc.second_order_flows_found = 2;
-        let text = m.render_prometheus(&snap, &[]);
+        let text = m.render_prometheus(&snap, 0);
         assert!(text.contains("webssari_engine_cache_hits_total 3"));
         assert!(text.contains("webssari_engine_cache_evictions_total 2"));
         assert!(text.contains("webssari_engine_cache_hit_ratio 0.75"));

@@ -15,8 +15,8 @@ use crate::metrics::route_label;
 use crate::AppState;
 
 /// The file name a `/verify` request without `?file=` is verified
-/// (and cached, and dispatched) under.
-pub(crate) const DEFAULT_VERIFY_FILE: &str = "request.php";
+/// (and cached) under.
+const DEFAULT_VERIFY_FILE: &str = "request.php";
 
 /// Dispatches one request. Returns the route label (for metrics) and
 /// the response.
@@ -58,7 +58,7 @@ fn metrics(state: &AppState) -> Response {
     let snapshot = state.engine.snapshot();
     let text = state
         .metrics
-        .render_prometheus(&snapshot, &state.shard_depths());
+        .render_prometheus(&snapshot, state.queue.len());
     Response::new(200)
         .header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
         .with_body(text.into_bytes())
@@ -420,12 +420,12 @@ mysql_query($query);
         assert!(text.contains("webssari_engine_cache_misses_total 1"));
         assert!(text.contains("webssari_engine_files_total{outcome=\"vulnerable\"} 1"));
         assert!(text.contains("webssari_engine_cache_evictions_total 0"));
-        // One depth gauge per dispatch shard.
-        for shard in 0..state.shard_queues.len() {
-            assert!(text.contains(&format!(
-                "webssari_shard_queue_depth{{shard=\"{shard}\"}} 0"
-            )));
-        }
+        // One depth gauge: the dispatch queue's.
+        let depths: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("webssari_shard_queue_depth{"))
+            .collect();
+        assert_eq!(depths, ["webssari_shard_queue_depth{shard=\"0\"} 0"]);
     }
 
     /// Body bytes minus the volatile `wall_ms` tail.

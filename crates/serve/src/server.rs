@@ -4,8 +4,8 @@
 //! [`Server::start`] hands the listener to
 //! [`event_loop`](crate::event_loop): one `poll(2)`-driven thread owns
 //! every socket — the listener is part of the poll set, so there is no
-//! sleep-polling anywhere — and per-shard worker threads run the
-//! router. Keep-alive, pipelining, per-connection deadlines and load
+//! sleep-polling anywhere — and a pool of worker threads, popping one
+//! dispatch queue, runs the router. Keep-alive, pipelining, per-connection deadlines and load
 //! shedding live there.
 //!
 //! [`ServerHandle::shutdown`] flips the stop flag and writes a wake

@@ -295,6 +295,15 @@ fn slow_batch() -> String {
     )
 }
 
+/// Polls `done` every millisecond; fails after 20 s.
+fn wait_for(what: &str, done: &dyn Fn() -> bool) {
+    let begin = std::time::Instant::now();
+    while !done() {
+        assert!(begin.elapsed() < Duration::from_secs(20), "never {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn full_queue_sheds_with_429_and_retry_after() {
     // One worker, one queue slot: a long cold batch pins the worker, a
@@ -306,13 +315,6 @@ fn full_queue_sheds_with_429_and_retry_after() {
     });
     let addr = server.local_addr();
     let state = std::sync::Arc::clone(server.state());
-    let wait_for = |what: &str, done: &dyn Fn() -> bool| {
-        let begin = std::time::Instant::now();
-        while !done() {
-            assert!(begin.elapsed() < Duration::from_secs(20), "never {what}");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    };
 
     let batch = slow_batch();
     let pinned = std::thread::spawn(move || post(addr, "/batch", "", &batch));
@@ -320,9 +322,7 @@ fn full_queue_sheds_with_429_and_retry_after() {
         state.engine.snapshot().jobs_in_flight > 0
     });
     let queued = std::thread::spawn(move || get(addr, "/healthz"));
-    wait_for("queued the second request", &|| {
-        state.shard_queues[0].len() == 1
-    });
+    wait_for("queued the second request", &|| state.queue.len() == 1);
 
     let shed = get(addr, "/healthz");
     assert_eq!(status_of(&shed), 429, "response: {shed:?}");
@@ -339,6 +339,42 @@ fn full_queue_sheds_with_429_and_retry_after() {
 
     let metrics = get(addr, "/metrics");
     assert!(metrics.contains("webssari_queue_rejected_total 1\n"));
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn an_idle_worker_takes_a_verify_while_another_runs_a_batch() {
+    // Two workers: a long cold batch pins one, and a cold `/verify`
+    // must go to the other at once rather than wait behind the batch.
+    // `x.php` has an odd FNV-1a hash and the batch is the first
+    // request, so lanes chosen by file-name hash beside a round robin
+    // from 1 would queue both on the second worker.
+    let server = start(ServerConfig {
+        http_workers: 2,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let state = std::sync::Arc::clone(server.state());
+
+    let batch = slow_batch();
+    let pinned = std::thread::spawn(move || post(addr, "/batch", "", &batch));
+    wait_for("started the batch", &|| {
+        state.engine.snapshot().jobs_in_flight > 0
+    });
+    let verified = post(addr, "/verify?file=x.php", "", SQLI);
+    let snapshot = state.engine.snapshot();
+    assert_eq!(status_of(&verified), 200, "response: {verified:?}");
+    let v = json_of(&verified);
+    assert_eq!(v.get("outcome").and_then(Value::as_str), Some("vulnerable"));
+    assert_eq!(v.get("from_cache"), Some(&Value::Bool(false)));
+    assert_eq!(
+        snapshot.batches_completed, 1,
+        "the /verify waited for the batch"
+    );
+
+    let pinned = pinned.join().expect("batch client");
+    assert_eq!(status_of(&pinned), 200, "response: {pinned:?}");
+    assert_eq!(state.engine.snapshot().batches_completed, 2);
     server.shutdown().expect("graceful shutdown");
 }
 
@@ -388,6 +424,11 @@ fn deeply_nested_source_is_a_parse_error_and_the_server_survives() {
         format!("<?php {}1;", "$a = ".repeat(20_000)),
         format!("<?php $x = {}1;", "1 ? 1 : ".repeat(20_000)),
         format!("<?php $x = $a{};", " . $a".repeat(20_000)),
+        // ~500 KB, under the 1 MiB body cap.
+        format!(
+            "<?php if ($a) {{ $b = 1; }}{} echo $_GET['a'];",
+            " elseif ($a) { $b = 1; }".repeat(20_000)
+        ),
     ];
     for (i, body) in deep.iter().enumerate() {
         let response = post(addr, &format!("/verify?file=deep{i}.php"), "", body);

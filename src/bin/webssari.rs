@@ -119,8 +119,8 @@ DAEMON (serve):
                            workers (default 2).
     --cache-dir DIR        Persist the incremental cache here; loaded at
                            startup, flushed on graceful shutdown.
-    --queue-depth N        Bounded dispatch queue, split across the
-                           workers; beyond it requests are shed with
+    --queue-depth N        Bounded dispatch queue that every worker
+                           pops; beyond it requests are shed with
                            429 + Retry-After (default 64).
     --request-budget-ms MS Per-request solve deadline — exceeding it
                            yields a JSON \"timeout\" outcome, never a hung

@@ -8,6 +8,9 @@ use webssari::{FileOutcome, Verifier, VerifyError};
 /// The parser's operator-height bound.
 const HEIGHT: usize = 256;
 
+/// The parser's bound on open `elseif` arms.
+const ARMS: usize = 512;
+
 /// Verifies `src` on a thread with a 2 MiB stack.
 fn verify_on_small_stack(src: String) -> Result<FileOutcome, VerifyError> {
     std::thread::Builder::new()
@@ -23,9 +26,25 @@ fn verify_on_small_stack(src: String) -> Result<FileOutcome, VerifyError> {
 }
 
 /// Expressions whose operator height is `n` (with `$_GET['a']` itself
-/// one postfix operator), under up to 60 levels of other nesting.
+/// one postfix operator), under up to 60 levels of other nesting, or
+/// in the last arm of an `if` with [`ARMS`] `elseif` arms in either
+/// spelling, under 60 levels of `if`.
 fn shapes(n: usize) -> Vec<(&'static str, String)> {
     let concat = |k: usize| " . $_GET['a']".repeat(k);
+    let chain = |spelling: &str| {
+        let mut src = String::from("<?php\n");
+        src.push_str(&"if ($c) {\n".repeat(60));
+        src.push_str("if ($c == 0) { echo 'a'; }");
+        for i in 1..ARMS {
+            src.push_str(&format!(" {spelling} ($c == {i}) {{ echo 'b'; }}"));
+        }
+        src.push_str(&format!(
+            " {spelling} ($c == {ARMS}) {{ echo $_GET['a']{}; }}\n",
+            concat(n - 1)
+        ));
+        src.push_str(&"}\n".repeat(60));
+        src
+    };
     let per = (n - 1) / 60;
     let mut parens = String::from("<?php $x = ");
     parens.push_str(&"(".repeat(60));
@@ -98,6 +117,8 @@ fn shapes(n: usize) -> Vec<(&'static str, String)> {
                 ")".repeat(60),
             ),
         ),
+        ("elseif", chain("elseif")),
+        ("else if", chain("else if")),
     ]
 }
 
