@@ -14,10 +14,9 @@
 //! * `solver_core` — runs the [`solver_core`] suite (arena solver vs
 //!   the frozen pre-refactor solver) and writes `BENCH_sat.json` at the
 //!   repo root; `--fast --check BENCH_sat.json` is the CI smoke mode.
-//! * `bench_screening` — runs the [`screening`] suite (tiered
-//!   TS→slice→BMC pipeline vs the raw check) over the Figure 10 corpus
-//!   and writes `BENCH_screen.json` at the repo root;
-//!   `--fast --check BENCH_screen.json` is the CI smoke mode.
+//! * `bench_serve` — load-generates the `webssari serve` event loop,
+//!   cold then warm, and writes `BENCH_serve.json` at the repo root;
+//!   `--fast --check BENCH_serve.json` is the CI smoke mode.
 //!
 //! Criterion benches (`cargo bench -p webssari-bench`) cover the SAT
 //! substrate, both encodings, the fixing-set solvers, the Figure 10
@@ -28,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod screening;
 pub mod solver_core;
 
 use std::fmt::Write as _;

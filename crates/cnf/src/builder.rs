@@ -1,4 +1,4 @@
-use crate::{Clause, CnfFormula, Lit, Var};
+use crate::{CnfFormula, Lit, Var};
 
 /// Builds a CNF formula from circuit-level gates via the Tseitin
 /// transformation.
@@ -275,13 +275,6 @@ impl FormulaBuilder {
     /// A view of the formula built so far.
     pub fn formula(&self) -> &CnfFormula {
         &self.formula
-    }
-
-    /// Adds a pre-built clause.
-    pub fn push_clause(&mut self, clause: Clause) {
-        if !self.counting {
-            self.formula.add_clause(clause);
-        }
     }
 }
 

@@ -96,7 +96,6 @@ impl SolveBudget {
 #[derive(Debug, Default)]
 pub struct VerifierBuilder {
     prelude: Option<Prelude>,
-    filter_options: FilterOptions,
     check_options: CheckOptions,
     exact_fixing_set: bool,
     minimize_guard_lines: bool,
@@ -130,18 +129,6 @@ impl VerifierBuilder {
         let (lattice, prelude) = Prelude::multiclass();
         self.policy = Policy::MultiClass(lattice);
         self.prelude = Some(prelude);
-        self
-    }
-
-    /// Sets the filter options (function unfolding depth).
-    pub fn filter_options(mut self, options: FilterOptions) -> Self {
-        self.filter_options = options;
-        self
-    }
-
-    /// Sets the model-checker options (encoder, enumeration caps).
-    pub fn check_options(mut self, options: CheckOptions) -> Self {
-        self.check_options = options;
         self
     }
 
@@ -213,7 +200,7 @@ impl VerifierBuilder {
     pub fn build(self) -> Verifier {
         Verifier {
             prelude: self.prelude.unwrap_or_default(),
-            filter_options: self.filter_options,
+            filter_options: FilterOptions::default(),
             check_options: self.check_options,
             exact_fixing_set: self.exact_fixing_set,
             minimize_guard_lines: self.minimize_guard_lines,

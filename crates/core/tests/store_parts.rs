@@ -53,11 +53,7 @@ type Oracle = fn(&Verifier, &SourceSet) -> StoreSummary;
 
 /// A verifier per policy, with the oracle for the lattice it runs.
 fn policies() -> [(Verifier, Oracle); 2] {
-    let build = |b: VerifierBuilder| {
-        b.loop_unroll(LOOP_UNROLL)
-            .filter_options(FilterOptions::default())
-            .build()
-    };
+    let build = |b: VerifierBuilder| b.loop_unroll(LOOP_UNROLL).build();
     [
         (build(VerifierBuilder::new()), |v, s| {
             check_merge(v, s, &TwoPoint::new())

@@ -49,8 +49,6 @@ mod profiles;
 pub use generator::{generate_project, sql_heavy_project, GeneratedProject};
 pub use profiles::{figure10_profiles, paper_stats, CorpusScale, ProjectProfile};
 
-use php_front::SourceSet;
-
 /// A full multi-project corpus.
 #[derive(Clone, Debug, Default)]
 pub struct Corpus {
@@ -99,12 +97,6 @@ impl Corpus {
     /// Number of projects expected to be vulnerable.
     pub fn expected_vulnerable_projects(&self) -> usize {
         self.projects.iter().filter(|p| p.expected_bmc > 0).count()
-    }
-
-    /// Concatenated view of every project's sources (for whole-corpus
-    /// statement counting).
-    pub fn all_sources(&self) -> impl Iterator<Item = (&str, &SourceSet)> {
-        self.projects.iter().map(|p| (p.name.as_str(), &p.sources))
     }
 }
 

@@ -53,13 +53,6 @@ pub struct FlowResult {
     pub verdicts: Vec<AssertVerdict>,
 }
 
-impl FlowResult {
-    /// Number of assertions proven clean flow-sensitively.
-    pub fn num_clean(&self) -> usize {
-        self.verdicts.iter().filter(|v| v.clean).count()
-    }
-}
-
 /// One step of a def-use taint witness, in source→sink order.
 #[derive(Clone, Debug)]
 pub struct WitnessStep {

@@ -71,11 +71,6 @@ impl CacheCaps {
     pub fn unlimited() -> Self {
         CacheCaps::default()
     }
-
-    /// Whether either cap is set.
-    pub fn is_bounded(&self) -> bool {
-        self.max_entries.is_some() || self.max_bytes.is_some()
-    }
 }
 
 /// One cached verification result.

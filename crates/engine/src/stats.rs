@@ -81,16 +81,6 @@ impl EngineSnapshot {
         let total = self.cache_hits + self.cache_misses;
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }
-
-    /// Count for one outcome.
-    pub fn outcome_count(&self, outcome: FileOutcome) -> u64 {
-        match outcome {
-            FileOutcome::Verified => self.files_verified,
-            FileOutcome::Vulnerable => self.files_vulnerable,
-            FileOutcome::Timeout => self.files_timeout,
-            FileOutcome::ParseError => self.files_parse_error,
-        }
-    }
 }
 
 impl EngineStats {

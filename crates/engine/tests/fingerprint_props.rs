@@ -148,3 +148,18 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Pins the configuration text of the two shipped policies. The cache
+/// fingerprint is derived from it, so a refactor that changes a single
+/// byte of it silently invalidates every persisted cache; a deliberate
+/// change updates these constants and says so.
+#[test]
+fn shipped_config_descriptions_are_pinned() {
+    use webssari_engine::hash::{fnv1a_64, to_hex};
+    let pinned = |v: &Verifier| to_hex(fnv1a_64(v.config_description().as_bytes()));
+    assert_eq!(pinned(&Verifier::new()), "e47c48e4d7db1471");
+    assert_eq!(
+        pinned(&VerifierBuilder::new().multiclass().build()),
+        "423aa3eee315f765"
+    );
+}

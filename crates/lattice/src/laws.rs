@@ -3,8 +3,8 @@
 //! These checks make the algebraic requirements of the paper's §3.1
 //! explicit and testable: the order must be a partial order, join/meet
 //! must be the least upper/greatest lower bound, and `⊥`/`⊤` must bound
-//! every element. They run in `O(n³)` and are intended for test code and
-//! for validating lattices loaded from preludes.
+//! every element. They run in `O(n³)` and are intended for test code,
+//! here and in downstream crates that define their own lattices.
 
 use crate::{Elem, Lattice};
 
@@ -105,14 +105,13 @@ pub fn assert_lattice_laws<L: Lattice>(l: &L) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Chain, Powerset, Product, TwoPoint};
+    use crate::{Chain, Powerset, TwoPoint};
 
     #[test]
     fn all_shipped_lattices_pass() {
         assert_lattice_laws(&TwoPoint::new());
         assert_lattice_laws(&Chain::new(7));
         assert_lattice_laws(&Powerset::new(vec!["a".into(), "b".into(), "c".into()]));
-        assert_lattice_laws(&Product::new(Chain::new(3), TwoPoint::new()));
     }
 
     /// A deliberately broken "lattice" to prove the checker detects

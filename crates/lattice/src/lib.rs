@@ -18,10 +18,10 @@
 //! * [`Elem`] — a compact index newtype naming one element of a lattice.
 //! * Concrete lattices:
 //!   [`TwoPoint`] (untainted < tainted — the lattice the paper's
-//!   experiments use), [`Chain`] (linear orders of any height),
-//!   [`Powerset`] (subsets of named taint kinds ordered by inclusion),
-//!   [`Product`] (componentwise products), and [`TableLattice`]
-//!   (arbitrary user-supplied orders, validated at construction).
+//!   experiments use and the default policy), [`Powerset`] (subsets of
+//!   named taint kinds ordered by inclusion — the `--multiclass`
+//!   policy), and [`Chain`] (linear orders of any height, used to
+//!   exercise the type-vector circuits above two points).
 //! * [`laws`] — executable lattice axioms, used by the unit and property
 //!   tests of every implementation and available to downstream crates to
 //!   validate their own lattices.
@@ -45,15 +45,11 @@ mod chain;
 mod elem;
 pub mod laws;
 mod powerset;
-mod product;
-mod table;
 mod two_point;
 
 pub use chain::Chain;
 pub use elem::Elem;
 pub use powerset::Powerset;
-pub use product::Product;
-pub use table::{LatticeError, TableLattice};
 pub use two_point::TwoPoint;
 
 /// A finite complete lattice of safety types.
