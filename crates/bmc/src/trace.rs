@@ -7,6 +7,8 @@
 //! replays the AI and records every executed assignment up to the
 //! violated assertion.
 
+use std::fmt::Write as _;
+
 use taint_lattice::{Elem, Lattice};
 use webssari_ir::{AiCmd, AiProgram, AssertId, Site, VarId};
 
@@ -50,48 +52,49 @@ pub struct Counterexample {
 impl Counterexample {
     /// Renders the trace as a human-readable report fragment.
     pub fn render(&self, program: &AiProgram) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "violation of {}() at {} — tainted argument(s): {}",
-            self.func,
-            self.site,
-            self.violating_vars
-                .iter()
-                .map(|v| format!("${}", program.vars.name(*v)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            out,
-            "  path: [{}]",
-            self.branches
-                .iter()
-                .enumerate()
-                .map(|(i, b)| format!("b{i}={}", if *b { "T" } else { "F" }))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        for step in &self.trace {
-            let rhs = if step.deps.is_empty() {
-                format!("{}", step.base)
-            } else {
-                step.deps
-                    .iter()
-                    .map(|d| format!("${}", program.vars.name(*d)))
-                    .collect::<Vec<_>>()
-                    .join(" ⊔ ")
-            };
-            let _ = writeln!(
-                out,
-                "  {} ${} := {}",
-                step.site,
-                program.vars.name(step.var),
-                rhs
-            );
-        }
+        self.render_into(program, &mut out);
         out
+    }
+
+    /// Appends [`Counterexample::render`]'s text to `out`: one line
+    /// naming the violation, one with the path, one per trace step.
+    pub fn render_into(&self, program: &AiProgram, out: &mut String) {
+        let var = |out: &mut String, v: VarId| {
+            out.push('$');
+            out.push_str(program.vars.name(v));
+        };
+        let _ = write!(out, "violation of {}() at {}", self.func, self.site);
+        out.push_str(" — tainted argument(s): ");
+        for (i, v) in self.violating_vars.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            var(out, *v);
+        }
+        out.push_str("\n  path: [");
+        for (i, taken) in self.branches.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "b{i}={}", if *taken { 'T' } else { 'F' });
+        }
+        out.push_str("]\n");
+        for step in &self.trace {
+            let _ = write!(out, "  {} ", step.site);
+            var(out, step.var);
+            out.push_str(" := ");
+            if step.deps.is_empty() {
+                let _ = write!(out, "{}", step.base);
+            }
+            for (i, d) in step.deps.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(" ⊔ ");
+                }
+                var(out, *d);
+            }
+            out.push('\n');
+        }
     }
 }
 

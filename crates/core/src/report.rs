@@ -27,6 +27,34 @@ pub struct Vulnerability {
     pub parameterize: bool,
 }
 
+impl Vulnerability {
+    /// Appends the group's report line, `[class] <action> $root — fixes
+    /// N symptom(s): a.php:3, a.php:4`, where the action is `sanitize`
+    /// or, for a group to parameterize, `parameterize the query
+    /// binding`.
+    pub fn render_into(&self, out: &mut String) {
+        let action = if self.parameterize {
+            "parameterize the query binding"
+        } else {
+            "sanitize"
+        };
+        let _ = write!(
+            out,
+            "[{}] {action} ${} — fixes {} symptom(s): ",
+            self.class,
+            self.root_var,
+            self.symptoms.len()
+        );
+        for (i, s) in self.symptoms.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(s);
+        }
+        out.push('\n');
+    }
+}
+
 /// How verifying one file concluded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileOutcome {
@@ -116,10 +144,16 @@ impl FileReport {
     /// "more descriptive and precise error reports" BMC enables.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "== {} ==", self.file);
-        let _ = writeln!(
+        self.render_text_into(&mut out);
+        out
+    }
+
+    /// Appends [`FileReport::render_text`]'s text to `out`.
+    pub fn render_text_into(&self, out: &mut String) {
+        let _ = write!(
             out,
-            "statements: {}, assertions checked: {}, TS errors: {}, BMC groups: {}",
+            "== {} ==\nstatements: {}, assertions checked: {}, TS errors: {}, BMC groups: {}\n",
+            self.file,
             self.num_statements,
             self.bmc.checked_assertions,
             self.ts_instrumentations(),
@@ -133,28 +167,15 @@ impl FileReport {
                 self.bmc.counterexamples.len(),
             );
         } else if self.is_safe() {
-            let _ = writeln!(out, "VERIFIED: no violations (sound guarantee)");
-            return out;
+            out.push_str("VERIFIED: no violations (sound guarantee)\n");
+            return;
         }
         for v in &self.vulnerabilities {
-            let action = if v.parameterize {
-                "parameterize the query binding"
-            } else {
-                "sanitize"
-            };
-            let _ = writeln!(
-                out,
-                "[{}] {action} ${} — fixes {} symptom(s): {}",
-                v.class,
-                v.root_var,
-                v.symptoms.len(),
-                v.symptoms.join(", "),
-            );
+            v.render_into(out);
         }
         for cx in &self.bmc.counterexamples {
-            let _ = write!(out, "{}", cx.render(&self.ai));
+            cx.render_into(&self.ai, out);
         }
-        out
     }
 
     /// A serializable summary (counts and groups, no IR).

@@ -1,6 +1,7 @@
 //! The batch verification engine: a fixed worker pool over per-file
 //! jobs, an incremental cache, per-job solve budgets, and metrics.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -133,25 +134,27 @@ impl EngineFileResult {
     /// counterexample traces (byte-identical to the sequential
     /// pipeline); cached results render from the stored summary.
     pub fn render_text(&self) -> String {
+        let mut out = String::new();
+        self.render_text_into(&mut out);
+        out
+    }
+
+    /// Appends [`EngineFileResult::render_text`]'s text to `out`.
+    pub fn render_text_into(&self, out: &mut String) {
         if let Some(report) = &self.report {
-            return report.render_text();
+            report.render_text_into(out);
+            return;
         }
         let s = &self.summary;
-        let mut out = format!(
+        let _ = write!(
+            out,
             "== {} == (cached)\nstatements: {}, TS errors: {}, BMC groups: {}, \
              counterexamples: {}, outcome: {}\n",
             s.file, s.num_statements, s.ts_errors, s.bmc_groups, s.counterexamples, s.outcome,
         );
         for v in &s.vulnerabilities {
-            out.push_str(&format!(
-                "[{}] sanitize ${} — fixes {} symptom(s): {}\n",
-                v.class,
-                v.root_var,
-                v.symptoms.len(),
-                v.symptoms.join(", "),
-            ));
+            v.render_into(out);
         }
-        out
     }
 }
 
@@ -222,7 +225,7 @@ impl EngineReport {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for f in &self.files {
-            out.push_str(&f.render_text());
+            f.render_text_into(&mut out);
             out.push('\n');
         }
         out

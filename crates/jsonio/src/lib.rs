@@ -114,21 +114,49 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// The escape each byte takes inside a JSON string: `0` for none, the
+/// letter after the backslash for a short escape, `u` for `\u00XX`.
+/// Only ASCII bytes escape, so every cut between runs lands on a char
+/// boundary.
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
     }
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table[b'\n' as usize] = b'n';
+    table[b'\r' as usize] = b'r';
+    table[b'\t' as usize] = b't';
+    table
+};
+
+/// Writes `s` quoted, copying each run of bytes that need no escape
+/// with one `push_str`.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPE[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        out.push('\\');
+        if escape == b'u' {
+            out.push_str("u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push(escape as char);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -150,10 +178,10 @@ pub mod len {
         // Escapes only replace ASCII bytes, so a byte walk is exact.
         2 + s
             .bytes()
-            .map(|b| match b {
-                b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
-                0..=0x1f => 6,
-                _ => 1,
+            .map(|b| match super::ESCAPE[usize::from(b)] {
+                0 => 1,
+                b'u' => 6,
+                _ => 2,
             })
             .sum::<usize>()
     }
@@ -187,13 +215,20 @@ pub mod len {
     }
 }
 
-/// Parses a JSON document. Returns `None` on any syntax error or on
-/// trailing non-whitespace — a corrupt cache file simply reads as
-/// empty.
+/// How deeply arrays and objects may nest in a parsed document. The
+/// workspace writes at most five levels; deeper input reads as corrupt
+/// rather than recursing without bound.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document. Returns `None` on any syntax error, on
+/// nesting deeper than [`MAX_DEPTH`], or on trailing non-whitespace —
+/// a corrupt cache file simply reads as empty.
 pub fn parse(text: &str) -> Option<Value> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -206,8 +241,11 @@ pub fn parse(text: &str) -> Option<Value> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -246,11 +284,23 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'0'..=b'9' => self.number(),
             _ => None,
         }
+    }
+
+    /// Parses an array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Option<Value>) -> Option<Value> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Option<Value> {
@@ -262,51 +312,65 @@ impl Parser<'_> {
         text.parse::<u64>().ok().map(Value::Num)
     }
 
+    /// A string, with each run of unescaped bytes copied by one
+    /// `push_str`. Runs end only at ASCII `"` or `\`, so each is a
+    /// slice of the (UTF-8) input on char boundaries.
     fn string(&mut self) -> Option<String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bump()? {
-                b'"' => return Some(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = (self.bump()? as char).to_digit(16)?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                b => {
-                    // Re-decode multi-byte UTF-8 sequences in place.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match b {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            0xf0..=0xf7 => 4,
-                            _ => return None,
-                        };
-                        let end = start + len;
-                        let chunk = self.bytes.get(start..end)?;
-                        out.push_str(std::str::from_utf8(chunk).ok()?);
-                        self.pos = end;
-                    }
-                }
+            let run = self.pos;
+            while !matches!(self.peek()?, b'"' | b'\\') {
+                self.pos += 1;
             }
+            out.push_str(&self.text[run..self.pos]);
+            if self.bump()? == b'"' {
+                return Some(out);
+            }
+            let c = match self.bump()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => self.unicode_escape()?,
+                _ => return None,
+            };
+            out.push(c);
         }
+    }
+
+    /// The char of a `\uXXXX` escape whose `\u` is consumed. A high
+    /// surrogate must be followed by an escaped low one, and the pair
+    /// names one astral char; a lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Option<char> {
+        let high = self.hex4()?;
+        if !(0xd800..0xdc00).contains(&high) {
+            // A lone low surrogate is not a char either.
+            return char::from_u32(high);
+        }
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return None;
+        }
+        self.pos += 2;
+        let low = self.hex4()?;
+        if !(0xdc00..0xe000).contains(&low) {
+            return None;
+        }
+        char::from_u32(0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00))
+    }
+
+    fn hex4(&mut self) -> Option<u32> {
+        let digits = self.bytes.get(self.pos..self.pos + 4)?;
+        let mut code = 0;
+        for &d in digits {
+            code = code * 16 + char::from(d).to_digit(16)?;
+        }
+        self.pos += 4;
+        Some(code)
     }
 
     fn array(&mut self) -> Option<Value> {
@@ -446,6 +510,56 @@ mod tests {
     #[test]
     fn unicode_escapes_parse() {
         assert_eq!(parse(r#""\u00e9""#), Some(Value::str("é")));
+        assert_eq!(parse(r#""\u00E9\u2603""#), Some(Value::str("é\u{2603}")));
+    }
+
+    #[test]
+    fn surrogate_pairs_parse_as_one_char() {
+        // Python's `json.dumps("😀")`.
+        assert_eq!(parse(r#""\ud83d\ude00""#), Some(Value::str("\u{1f600}")));
+        assert_eq!(
+            parse(r#""a\uD83D\uDE00b\udbff\udfff""#),
+            Some(Value::str("a\u{1f600}b\u{10ffff}"))
+        );
+        // A lone or misordered surrogate is not a char.
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d\ude0""#,
+        ] {
+            assert_eq!(parse(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_some());
+        assert_eq!(parse(&nested(MAX_DEPTH + 1)), None);
+        let objects = "{\"k\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_some());
+        // Depth is counted along one path, not in total.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_some());
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_on_a_small_stack() {
+        // A `/batch` body under serve's 1 MiB cap, parsed on a thread
+        // with the 2 MiB stack serve's workers get.
+        let body = "{\"files\":".to_owned() + &"[".repeat(50_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&body))
+            .expect("thread starts")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(parsed, None);
     }
 
     #[test]
@@ -458,5 +572,70 @@ mod tests {
             Some(1)
         );
         assert_eq!(v.get("missing"), None);
+    }
+
+    /// The char-at-a-time escaper `to_json` used before strings were
+    /// written by runs: the reference the fast writer must match.
+    fn reference_escaped(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Chars weighted toward what escaping treats specially: every
+        /// control byte, quotes and backslashes, DEL, and two-, three-
+        /// and four-byte UTF-8.
+        fn any_char() -> BoxedStrategy<char> {
+            let code = |range: std::ops::Range<u32>| {
+                range.prop_map(|c| char::from_u32(c).expect("range holds scalar values"))
+            };
+            prop_oneof![
+                3 => code(0..0x20),
+                3 => prop_oneof![Just('"'), Just('\\'), Just('/'), Just('\u{7f}')],
+                4 => code(0x20..0x7f),
+                2 => code(0x80..0x800),
+                2 => code(0x800..0xd800),
+                1 => code(0xe000..0x10000),
+                2 => code(0x10000..0x110000),
+            ]
+        }
+
+        fn any_string() -> BoxedStrategy<String> {
+            prop::collection::vec(any_char(), 0..48).prop_map(|cs| cs.into_iter().collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn escaping_matches_the_reference(s in any_string()) {
+                let json = Value::str(s.clone()).to_json();
+                prop_assert_eq!(&json, &reference_escaped(&s));
+                prop_assert_eq!(len::string(&s), json.len());
+            }
+
+            #[test]
+            fn parse_round_trips_to_json(key in any_string(), s in any_string()) {
+                let v = Value::Obj(vec![(key, Value::Arr(vec![Value::Str(s), Value::Num(7)]))]);
+                prop_assert_eq!(parse(&v.to_json()), Some(v));
+            }
+        }
     }
 }

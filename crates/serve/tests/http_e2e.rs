@@ -455,6 +455,42 @@ fn deeply_nested_source_is_a_parse_error_and_the_server_survives() {
 }
 
 #[test]
+fn deeply_nested_batch_json_is_a_400_and_the_server_survives() {
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    // ~100 KB, under the 1 MiB body cap: parsing it once recursed per
+    // `[` and overflowed a worker's stack, aborting the daemon.
+    let body = "{\"files\":".to_owned() + &"[".repeat(50_000);
+    let response = post(addr, "/batch", "", &body);
+    assert_eq!(status_of(&response), 400, "{response}");
+    assert_eq!(status_of(&get(addr, "/healthz")), 200);
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn batch_json_with_escaped_astral_chars_is_accepted() {
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    // What Python's `json.dumps` writes for an emoji: a surrogate pair.
+    let body = r#"{"files": [
+        {"name": "\ud83d\ude00.php", "source": "<?php echo \"\ud83d\ude00\" . $_GET['a'];"}
+    ]}"#;
+    let response = post(addr, "/batch", "", body);
+    assert_eq!(status_of(&response), 200, "{response}");
+    let v = json_of(&response);
+    let file = &v.get("files").and_then(Value::as_arr).unwrap()[0];
+    assert_eq!(
+        file.get("file").and_then(Value::as_str),
+        Some("\u{1f600}.php")
+    );
+    assert_eq!(
+        file.get("outcome").and_then(Value::as_str),
+        Some("vulnerable")
+    );
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
 fn shutdown_flushes_the_cache_and_a_restart_rewarms_it() {
     let dir = std::env::temp_dir().join(format!(
         "webssari-serve-e2e-{}-{:?}",

@@ -406,10 +406,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             );
         }
     } else {
-        for file in &report.files {
-            print!("{}", file.render_text());
-            println!();
-        }
+        print!("{}", report.render_text());
     }
     for (file, err) in &report.failed_files {
         eprintln!("SKIPPED {file}: {err}");

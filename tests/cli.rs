@@ -348,6 +348,37 @@ fn engine_flags_run_parallel_with_cache_and_metrics() {
 }
 
 #[test]
+fn cached_groups_keep_the_parameterize_action() {
+    let cache = scratch(&[]).join("cache");
+    let args = [
+        "verify",
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/examples/php/sqli_vulnerable.php"
+        ),
+        "--prefer-parameterize",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+    ];
+    let group_lines = || {
+        let out = webssari().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1));
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("[sqli]"))
+            .map(str::to_owned)
+            .collect::<Vec<_>>()
+    };
+    let fresh = group_lines();
+    assert!(
+        fresh[0].starts_with("[sqli] parameterize the query binding $"),
+        "{fresh:?}"
+    );
+    // The cached rerun renders the group from its stored summary.
+    assert_eq!(group_lines(), fresh);
+}
+
+#[test]
 fn solve_budget_flag_is_accepted() {
     let dir = scratch(&[("index.php", VULN)]);
     let out = webssari()
