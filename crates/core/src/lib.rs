@@ -54,6 +54,6 @@ pub use instrument::{instrument_bmc, instrument_ts, Instrumentation};
 pub use report::{
     reduction_note, FileOutcome, FileReport, FileSummary, ProjectReport, Vulnerability,
 };
-pub use verifier::{SolveBudget, StoreCell, Verifier, VerifierBuilder};
+pub use verifier::{FileReads, SolveBudget, StoreCell, Verifier, VerifierBuilder};
 /// The cross-request store summary a [`StoreCell`] holds.
 pub use webssari_ir::StoreSummary;

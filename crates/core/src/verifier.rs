@@ -3,7 +3,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use php_front::{parse_source, resolve_includes, IncludeError, SourceSet};
+use php_front::{
+    parse_source, resolve_includes, resolve_includes_recording, IncludeError, SourceSet,
+};
 use taint_lattice::{Lattice, Powerset, TwoPoint};
 use webssari_ir::{
     abstract_interpret_with, filter_program, filter_program_on_demand, is_store_cell, AiCmd,
@@ -200,7 +202,6 @@ impl VerifierBuilder {
     pub fn build(self) -> Verifier {
         Verifier {
             prelude: self.prelude.unwrap_or_default(),
-            filter_options: FilterOptions::default(),
             check_options: self.check_options,
             exact_fixing_set: self.exact_fixing_set,
             minimize_guard_lines: self.minimize_guard_lines,
@@ -231,6 +232,8 @@ pub struct StoreCell {
     /// that file's *current* program in the batch's source set.
     seeded: BTreeMap<String, Arc<StoreSummary>>,
     summary: OnceLock<StoreSummary>,
+    /// [`StoreSummary::digest`] of `summary`, computed once.
+    digest: OnceLock<u64>,
     /// The parts the batch computed (published by verify calls or built
     /// by the fill), by file name; never a seeded file's.
     computed: Mutex<BTreeMap<String, Arc<StoreSummary>>>,
@@ -251,6 +254,12 @@ impl StoreCell {
     /// The summary, once some verify call has filled the cell.
     pub fn get(&self) -> Option<&StoreSummary> {
         self.summary.get()
+    }
+
+    /// The summary's [`StoreSummary::digest`], once the cell is filled.
+    pub fn digest(&self) -> Option<u64> {
+        let summary = self.summary.get()?;
+        Some(*self.digest.get_or_init(|| summary.digest()))
     }
 
     /// Every part the batch computed, published or built by the fill,
@@ -291,7 +300,7 @@ impl StoreCell {
     }
 
     /// `name`'s part, if the cell was seeded with it or it was computed.
-    fn known_part(&self, name: &str) -> Option<Arc<StoreSummary>> {
+    pub fn part(&self, name: &str) -> Option<Arc<StoreSummary>> {
         if let Some(part) = self.seeded.get(name) {
             return Some(Arc::clone(part));
         }
@@ -330,13 +339,31 @@ impl From<StoreSummary> for StoreCell {
     }
 }
 
+/// What one file's verification read besides the entry file's own
+/// source ([`Verifier::verify_file_recorded`]). The report is a function
+/// of that source and these reads: a later run whose files under
+/// `includes` are unchanged (and still absent where they were absent),
+/// and whose store summary has the same digest when `store` is set,
+/// would produce the same report.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FileReads {
+    /// Every file name include resolution looked up, in lookup order,
+    /// the entry first: present names and absent ones, and the lookups
+    /// made before a missing file, a cycle or a dynamic path made the
+    /// verifier fall back to the entry file alone.
+    pub includes: Vec<String>,
+    /// The [`StoreSummary::digest`] of the cross-request store summary
+    /// the filter consulted; `None` when it never consulted one, so the
+    /// report does not depend on any other file's store writes.
+    pub store: Option<u64>,
+}
+
 /// The WebSSARI verification pipeline (Figure 9 of the paper): filter,
 /// abstract interpretation, renaming, constraint generation, SAT-based
 /// counterexample enumeration, and counterexample analysis.
 #[derive(Clone, Debug, Default)]
 pub struct Verifier {
     prelude: Prelude,
-    filter_options: FilterOptions,
     check_options: CheckOptions,
     exact_fixing_set: bool,
     minimize_guard_lines: bool,
@@ -405,10 +432,14 @@ impl Verifier {
         v
     }
 
-    /// The store summary of `sources`: the installed batch cell, else
-    /// `own`, filled on the first call.
-    fn force_stores<'c>(&'c self, own: &'c StoreCell, sources: &SourceSet) -> &'c StoreSummary {
-        self.fill(self.store_cell.as_deref().unwrap_or(own), sources)
+    /// The digest of the store summary `cell` holds, filling it first
+    /// when no verify call did: from the parts it was seeded with or that
+    /// were published to it, building the rest from `sources`. A batch
+    /// engine compares it with the digest a cached verification read
+    /// ([`FileReads::store`]) to tell whether that result still holds.
+    pub fn store_digest(&self, cell: &StoreCell, sources: &SourceSet) -> u64 {
+        self.fill(cell, sources);
+        cell.digest().expect("fill forces the cell")
     }
 
     /// Fills `cell` with the summary of `sources`, unless it is full.
@@ -471,7 +502,7 @@ impl Verifier {
     ) -> StoreSummary {
         let mut summary = StoreSummary::new();
         for (name, src) in sources.iter() {
-            let part = match cell.known_part(name) {
+            let part = match cell.part(name) {
                 Some(part) => part,
                 None => {
                     let part = self.part_with(sources, name, src, lattice);
@@ -504,7 +535,13 @@ impl Verifier {
             },
             Err(_) => return Arc::clone(&EMPTY_PART),
         };
-        let f = filter_program(&program, src, name, &self.prelude, &self.filter_options);
+        let f = filter_program(
+            &program,
+            src,
+            name,
+            &self.prelude,
+            &FilterOptions::default(),
+        );
         let ai = abstract_interpret_with(&f, lattice, self.loop_unroll);
         let (_, state) = typestate::analyze_with_state(&ai, lattice);
         part_of(&f.store_writes, &state, lattice)
@@ -512,8 +549,10 @@ impl Verifier {
 
     /// A deterministic, canonical text describing everything that
     /// influences this verifier's *results*: crate version, policy,
-    /// loop-unroll depth, filter and check options, fix-plan settings,
-    /// and the full prelude contents. Two verifiers with identical
+    /// loop-unroll depth, fix-plan settings, whether certificates are
+    /// emitted, and the full prelude contents. Filter and check options
+    /// that no builder method sets are the same for every verifier and
+    /// stay out of it. Two verifiers with identical
     /// descriptions produce identical reports for identical sources.
     ///
     /// The incremental cache hashes this string into its fingerprint so
@@ -530,15 +569,7 @@ impl Verifier {
         let _ = writeln!(out, "exact_fixing_set {}", self.exact_fixing_set);
         let _ = writeln!(out, "minimize_guard_lines {}", self.minimize_guard_lines);
         let _ = writeln!(out, "prefer_parameterize {}", self.prefer_parameterize);
-        let _ = writeln!(out, "filter_options {:?}", self.filter_options);
-        let _ = writeln!(
-            out,
-            "check_options encoder={:?} fresh={} max_cx={} certify={}",
-            self.check_options.encoder,
-            self.check_options.fresh_solver_per_assert,
-            self.check_options.max_counterexamples_per_assert,
-            self.check_options.certify,
-        );
+        let _ = writeln!(out, "certify {}", self.check_options.certify);
         let _ = writeln!(out, "prelude:");
         out.push_str(&self.prelude.canonical_description());
         out
@@ -558,8 +589,9 @@ impl Verifier {
         let mut set = SourceSet::new();
         set.add_file(file, src);
         let own = StoreCell::default();
-        let stores = || self.force_stores(&own, &set);
-        Ok(self.verify_parsed(&program, src, file, &stores, None))
+        let cell = self.store_cell.as_deref().unwrap_or(&own);
+        let (report, _) = self.verify_parsed(&program, src, file, cell, &set, false);
+        Ok(report)
     }
 
     /// Verifies one file of a project, resolving its includes from the
@@ -570,13 +602,33 @@ impl Verifier {
     /// Returns [`VerifyError`] on parse or include failures (dynamic
     /// include paths fall back to analyzing the file alone).
     pub fn verify_file(&self, sources: &SourceSet, entry: &str) -> Result<FileReport, VerifyError> {
+        self.verify_file_recorded(sources, entry)
+            .map(|(report, _)| report)
+    }
+
+    /// [`Verifier::verify_file`], also reporting what the verification
+    /// read besides `entry`'s own source: the file names include
+    /// resolution looked up and, if the filter consulted the store
+    /// summary, that summary's digest. An incremental cache keys the
+    /// result on these reads, the way a build system keys an object
+    /// file on the headers its compile read.
+    ///
+    /// # Errors
+    ///
+    /// As [`Verifier::verify_file`].
+    pub fn verify_file_recorded(
+        &self,
+        sources: &SourceSet,
+        entry: &str,
+    ) -> Result<(FileReport, FileReads), VerifyError> {
         let src = sources.file(entry).ok_or_else(|| {
             VerifyError::Include(IncludeError::MissingFile {
                 name: entry.to_owned(),
                 included_from: None,
             })
         })?;
-        let program = match resolve_includes(sources, entry) {
+        let mut includes = Vec::new();
+        let program = match resolve_includes_recording(sources, entry, &mut includes) {
             Ok(p) => p,
             // Unresolvable includes (dynamic paths, files outside the
             // set, cycles) degrade gracefully: verify the file in
@@ -590,11 +642,14 @@ impl Verifier {
             Err(e) => return Err(e.into()),
         };
         let own = StoreCell::default();
-        let stores = || self.force_stores(&own, sources);
         // The batch cell takes this file's store part if its filter
         // never consults the cell (see `verify_with_lattice`).
-        let publish = self.store_cell.as_deref();
-        Ok(self.verify_parsed(&program, src, entry, &stores, publish))
+        let (cell, publish) = match self.store_cell.as_deref() {
+            Some(cell) => (cell, true),
+            None => (&own, false),
+        };
+        let (report, store) = self.verify_parsed(&program, src, entry, cell, sources, publish);
+        Ok((report, FileReads { includes, store }))
     }
 
     /// Verifies every file of a project as an entry point.
@@ -620,23 +675,31 @@ impl Verifier {
         report
     }
 
-    fn verify_parsed<'s>(
+    /// Verifies a resolved program whose store reads fill `cell` from
+    /// `sources` on demand. Returns the report and, when the filter
+    /// consulted the cell, the digest of the summary it read.
+    fn verify_parsed(
         &self,
         program: &php_front::ast::Program,
         src: &str,
         file: &str,
-        stores: &dyn Fn() -> &'s StoreSummary,
-        publish: Option<&StoreCell>,
-    ) -> FileReport {
-        match &self.policy {
+        cell: &StoreCell,
+        sources: &SourceSet,
+        publish: bool,
+    ) -> (FileReport, Option<u64>) {
+        let stores = || self.fill(cell, sources);
+        let publish = publish.then_some(cell);
+        let (report, consulted) = match &self.policy {
             Policy::TwoPoint => {
-                self.verify_with_lattice(program, src, file, stores, publish, &TwoPoint::new())
+                self.verify_with_lattice(program, src, file, &stores, publish, &TwoPoint::new())
             }
             Policy::MultiClass(lattice) => {
                 let lattice = lattice.clone();
-                self.verify_with_lattice(program, src, file, stores, publish, &lattice)
+                self.verify_with_lattice(program, src, file, &stores, publish, &lattice)
             }
-        }
+        };
+        let store = consulted.then(|| cell.digest().expect("a consulted cell is filled"));
+        (report, store)
     }
 
     fn verify_with_lattice<'s>(
@@ -647,14 +710,16 @@ impl Verifier {
         stores: &dyn Fn() -> &'s StoreSummary,
         publish: Option<&StoreCell>,
         lattice: &impl Lattice,
-    ) -> FileReport {
+    ) -> (FileReport, bool) {
+        // Whether the filter consulted the store summary: if it did, the
+        // report depends on every file's store writes.
         let consulted = Cell::new(false);
         let f = filter_program_on_demand(
             program,
             src,
             file,
             &self.prelude,
-            &self.filter_options,
+            &FilterOptions::default(),
             &|| {
                 consulted.set(true);
                 stores()
@@ -796,7 +861,7 @@ impl Verifier {
         } else {
             FileOutcome::Vulnerable
         };
-        FileReport {
+        let report = FileReport {
             file: file.to_owned(),
             num_statements: program.num_statements(),
             ai,
@@ -805,7 +870,8 @@ impl Verifier {
             fix_plan,
             vulnerabilities,
             outcome,
-        }
+        };
+        (report, consulted.get())
     }
 }
 
@@ -905,6 +971,35 @@ mod tests {
             assert_eq!(store_builds(), before + 1, "{reader}");
             assert_eq!(project.files[1].render_text(), report.render_text());
         }
+    }
+
+    #[test]
+    fn verify_file_records_what_it_read() {
+        let mut set = store_batch(STORE_READERS[0]);
+        set.add_file(
+            "page.php",
+            "<?php include 'lib.php'; include 'gone.php'; echo $x;",
+        );
+        set.add_file("lib.php", "<?php $x = 'ok';");
+        let cell: Arc<StoreCell> = Arc::default();
+        let verifier = Verifier::new().with_store_cell(Arc::clone(&cell));
+        // The absent include makes the verifier fall back to the page
+        // alone; both lookups before it are still reads.
+        let (_, reads) = verifier.verify_file_recorded(&set, "page.php").unwrap();
+        assert_eq!(reads.includes, ["page.php", "lib.php", "gone.php"]);
+        assert_eq!(reads.store, None);
+        assert!(cell.get().is_none());
+
+        let (_, reads) = verifier.verify_file_recorded(&set, "reader_a.php").unwrap();
+        assert_eq!(reads.includes, ["reader_a.php"]);
+        let eager = Verifier::new().compute_store_summary(&set);
+        assert_eq!(reads.store, Some(eager.digest()));
+        assert_eq!(verifier.store_digest(&cell, &set), eager.digest());
+        // A fresh cell fills from source to the same digest.
+        assert_eq!(
+            Verifier::new().store_digest(&StoreCell::default(), &set),
+            eager.digest()
+        );
     }
 
     #[test]
@@ -1087,6 +1182,11 @@ echo htmlspecialchars($_GET['msg']);
             .build()
             .config_description();
         assert_ne!(base, exact);
+        let certify = VerifierBuilder::new()
+            .certify(true)
+            .build()
+            .config_description();
+        assert_ne!(base, certify);
         // The budget only decides whether a check finishes, so it must
         // not perturb the fingerprint.
         let budgeted = VerifierBuilder::new()

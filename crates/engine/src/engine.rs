@@ -9,11 +9,11 @@ use std::time::{Duration, Instant};
 
 use php_front::SourceSet;
 use webssari_core::{
-    FileOutcome, FileReport, FileSummary, SolveBudget, StoreCell, Verifier, VerifyError,
+    FileOutcome, FileReads, FileReport, FileSummary, SolveBudget, StoreCell, Verifier, VerifyError,
 };
 use xbmc::XbmcStats;
 
-use crate::cache::{Cache, CacheCaps};
+use crate::cache::{Cache, CacheCaps, EntryReads, StoreRead};
 use crate::handle::EngineHandle;
 use crate::hash;
 use crate::metrics::{EngineMetrics, FileMetrics};
@@ -239,16 +239,15 @@ impl EngineReport {
     }
 }
 
-/// A unit of work: `(slot index, file name, content key)`.
-type Job = (usize, String, u64);
+/// One file of a batch: its name and content key ([`content_keys`]).
+type Keyed<'s> = (&'s str, u64);
 
 struct JobDone {
     index: usize,
-    content_key: u64,
     worker: usize,
     queue_wait: Duration,
     duration: Duration,
-    result: Result<FileReport, VerifyError>,
+    result: Result<(FileReport, FileReads), VerifyError>,
 }
 
 enum Slot {
@@ -303,6 +302,16 @@ impl Engine {
     /// *not* persist the cache — that is the caller's (handle's)
     /// decision.
     ///
+    /// A batch runs in two phases. Phase 1 verifies the files whose
+    /// cache entry does not hold ([`Cache::lookup`]: the file or one of
+    /// its recorded includes changed). A hit whose verification read
+    /// the store summary of another source set then stands only if the
+    /// batch's summary has the digest it recorded; phase 2 re-verifies
+    /// the store readers whose digest differs. The summary is taken
+    /// after phase 1, so the misses have published their store parts
+    /// by then. A hit that read the summary of this very set stands
+    /// without it: the summary is a function of the set.
+    ///
     /// Workers take jobs in file-name order from one shared cursor, so
     /// none idles while work is left. Scheduling never shows in the
     /// report: slots are assembled in file-name order, so reports stay
@@ -316,36 +325,46 @@ impl Engine {
     ) -> EngineReport {
         let started = Instant::now();
         stats.batch_started();
-        let names = content_keys(sources);
+        let keys = content_keys(sources);
+        let set = set_hash(&keys);
+        let current = |name: &str| key_of(&keys, name);
 
         // Serve cache hits on this thread; queue the rest. Each lookup
         // holds the cache lock only for itself, so concurrent batches
         // (and the single-file `/verify` fast path) overlap freely.
-        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(names.len());
-        slots.resize_with(names.len(), || None);
-        let mut jobs: Vec<Job> = Vec::new();
+        let mut slots: Vec<Option<Slot>> = Vec::with_capacity(keys.len());
+        slots.resize_with(keys.len(), || None);
+        let mut misses = Vec::new();
+        let mut store_hits = Vec::new();
         let mut parts = Vec::new();
-        for (index, (name, key)) in names.iter().enumerate() {
-            if let Some((summary, part)) = cache.lookup(name, *key) {
-                stats.record_cache_hit(&summary);
-                slots[index] = Some(Slot::Hit(summary));
-                if let Some(part) = part {
-                    parts.push((name.clone(), part));
+        for (index, &(name, key)) in keys.iter().enumerate() {
+            let Some(hit) = cache.lookup(name, key, &current) else {
+                misses.push(index);
+                continue;
+            };
+            if let Some(part) = hit.part {
+                parts.push((name.to_owned(), part));
+            }
+            match hit.store {
+                Some(read) if read.set != set => {
+                    store_hits.push((index, read.digest, hit.summary));
                 }
-            } else {
-                jobs.push((index, name.clone(), *key));
+                _ => {
+                    stats.record_cache_hit(&hit.summary);
+                    slots[index] = Some(Slot::Hit(hit.summary));
+                }
             }
         }
 
         // Pass 1 of second-order analysis is built at most once per
-        // batch, and only if a job needs it: every job shares one cell,
-        // and the first file whose filter consults the store summary
-        // fills it. The summary is a pure function of the source set,
-        // so whichever worker builds it, every report is the same; a
-        // batch with no store-reading miss never builds it. The cell is
-        // seeded with the store parts the hit entries hold (a part is
-        // a function of the file's content key), and every miss whose
-        // filter does not read a store publishes its part as it
+        // batch, and only if a job or a store-reading hit needs it:
+        // every job shares one cell, and the first file whose filter
+        // consults the store summary fills it. The summary is a pure
+        // function of the source set, so whichever worker builds it,
+        // every report is the same. The cell is seeded with the store
+        // parts the hit entries hold (a part is a function of the file
+        // and its includes, which a hit has unchanged), and every miss
+        // whose filter does not read a store publishes its part as it
         // finishes, so filling it builds from source only the parts of
         // the store readers, of misses not yet verified, and of hits
         // that hold none.
@@ -356,71 +375,102 @@ impl Engine {
         }
         .with_store_cell(Arc::clone(&cell));
 
-        let run_job = |worker: usize, (index, file, content_key): &Job| {
+        let mut finished = self.verify_jobs(&verifier, sources, &keys, &misses, started, stats);
+        if !store_hits.is_empty() {
+            // Fills the cell from the parts alone when no phase 1 job
+            // read the summary.
+            let digest = verifier.store_digest(&cell, sources);
+            let mut stale = Vec::new();
+            for (index, recorded, summary) in store_hits {
+                if recorded == digest {
+                    let (name, key) = keys[index];
+                    cache.confirm_store_read(name, key, &current, StoreRead { digest, set });
+                    stats.record_cache_hit(&summary);
+                    slots[index] = Some(Slot::Hit(summary));
+                } else {
+                    stale.push(index);
+                }
+            }
+            finished.extend(self.verify_jobs(&verifier, sources, &keys, &stale, started, stats));
+        }
+        for done in finished {
+            let index = done.index;
+            slots[index] = Some(Slot::Fresh(Box::new(done)));
+        }
+
+        let report = self.assemble(started, keys, set, slots, &cell, cache, stats);
+        stats.batch_completed();
+        report
+    }
+
+    /// Verifies the files at `jobs` (indices into `keys`) on the worker
+    /// pool and returns the finished jobs, in no particular order.
+    ///
+    /// The calling thread is worker 0; only the other workers are
+    /// spawned, and each hands back its finished jobs when joined.
+    /// Worker 0 holds job 0 before any other worker starts, so the
+    /// calling thread always does work; the rest come from one shared
+    /// cursor in file-name order. The cursor only hands out indices
+    /// into `jobs`, which every worker borrows unchanged, so it
+    /// publishes no data.
+    fn verify_jobs(
+        &self,
+        verifier: &Verifier,
+        sources: &SourceSet,
+        keys: &[Keyed<'_>],
+        jobs: &[usize],
+        started: Instant,
+        stats: &EngineStats,
+    ) -> Vec<JobDone> {
+        if jobs.is_empty() {
+            return Vec::new();
+        }
+        let run_job = |worker: usize, index: usize| {
             let picked = Instant::now();
             stats.job_started();
-            let result = verifier.verify_file(sources, file);
+            let result = verifier.verify_file_recorded(sources, keys[index].0);
             let duration = picked.elapsed();
             // Live counters move the moment the job is done, not when
             // the batch is assembled — a snapshot mid-batch sees them.
             match &result {
-                Ok(report) => stats.record_fresh(report.outcome, duration, &report.bmc.stats),
+                Ok((report, _)) => stats.record_fresh(report.outcome, duration, &report.bmc.stats),
                 Err(_) => {
                     stats.record_fresh(FileOutcome::ParseError, duration, &XbmcStats::default())
                 }
             }
             stats.job_finished();
             JobDone {
-                index: *index,
-                content_key: *content_key,
+                index,
                 worker,
                 queue_wait: picked.duration_since(started),
                 duration,
                 result,
             }
         };
-
-        if !jobs.is_empty() {
-            // The calling thread is worker 0; only the other workers
-            // are spawned, and each hands back its finished jobs when
-            // joined. Worker 0 holds job 0 before any other worker
-            // starts, so the calling thread always does work; the rest
-            // come from one shared cursor in file-name order. The
-            // cursor only hands out indices into `jobs`, which every
-            // worker borrows unchanged, so it publishes no data.
-            let workers = self.workers.min(jobs.len());
-            let cursor = AtomicUsize::new(1);
-            let claim = || cursor.fetch_add(1, Ordering::Relaxed);
-            let work = |worker: usize, mut next: usize| {
-                let mut done = Vec::new();
-                while let Some(job) = jobs.get(next) {
-                    done.push(run_job(worker, job));
-                    next = claim();
-                }
-                done
-            };
-            let finished = std::thread::scope(|s| {
-                let helpers: Vec<_> = (1..workers)
-                    .map(|worker| s.spawn(move || work(worker, claim())))
-                    .collect();
-                let mut finished = work(0, 0);
-                for helper in helpers {
-                    match helper.join() {
-                        Ok(done) => finished.extend(done),
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    }
-                }
-                finished
-            });
-            for done in finished {
-                let index = done.index;
-                slots[index] = Some(Slot::Fresh(Box::new(done)));
+        let workers = self.workers.min(jobs.len());
+        let cursor = AtomicUsize::new(1);
+        let claim = || cursor.fetch_add(1, Ordering::Relaxed);
+        let work = |worker: usize, mut next: usize| {
+            let mut done = Vec::new();
+            while let Some(&index) = jobs.get(next) {
+                done.push(run_job(worker, index));
+                next = claim();
             }
-        }
-
-        let report = self.assemble(started, names, slots, &cell, cache, stats);
-        stats.batch_completed();
-        report
+            done
+        };
+        std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers)
+                .map(|worker| s.spawn(move || work(worker, claim())))
+                .collect();
+            let mut finished = work(0, 0);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(done) => finished.extend(done),
+                    Err(panic) => std::panic::resume_unwind(panic),
+                }
+            }
+            finished
+        })
     }
 
     /// Serves a single-file set entirely from the warm cache, or
@@ -433,9 +483,13 @@ impl Engine {
     /// The report is bit-identical to what `run_shared` produces for
     /// the same all-hit run; the only difference is that the batch
     /// verifier setup (budget re-arm, store-summary cell) is skipped,
-    /// since an all-hit batch never invokes the verifier. This is the
-    /// serving tier's warm `/verify` path: a bounded cache lookup that
-    /// is cheap enough to answer inline, without a worker dispatch.
+    /// since an all-hit batch never invokes the verifier. A hit that
+    /// read the store summary of another set stands only if the
+    /// one-file set's summary — the merge of the file's own part, which
+    /// the entry must hold — has the digest it recorded. This is the
+    /// serving tier's warm
+    /// `/verify` path: a bounded cache lookup that is cheap enough to
+    /// answer inline, without a worker dispatch.
     pub(crate) fn run_cached_shared(
         &self,
         sources: &SourceSet,
@@ -446,43 +500,67 @@ impl Engine {
             return None;
         }
         let started = Instant::now();
-        let names = content_keys(sources);
-        let (name, key) = (&names[0].0, names[0].1);
-        let (summary, _) = cache.lookup(name, key)?;
+        let keys = content_keys(sources);
+        let set = set_hash(&keys);
+        let (name, key) = keys[0];
+        let current = |other: &str| (other == name).then_some(key);
+        let hit = cache.lookup(name, key, &current)?;
+        if let Some(read) = hit.store.filter(|read| read.set != set) {
+            let cell = StoreCell::seeded([(name.to_owned(), hit.part?)]);
+            if self.verifier.store_digest(&cell, sources) != read.digest {
+                return None;
+            }
+            let read = StoreRead { set, ..read };
+            cache.confirm_store_read(name, key, &current, read);
+        }
         stats.batch_started();
-        stats.record_cache_hit(&summary);
-        let slots = vec![Some(Slot::Hit(summary))];
-        let report = self.assemble(started, names, slots, &StoreCell::default(), cache, stats);
+        stats.record_cache_hit(&hit.summary);
+        let slots = vec![Some(Slot::Hit(hit.summary))];
+        let report = self.assemble(
+            started,
+            keys,
+            set,
+            slots,
+            &StoreCell::default(),
+            cache,
+            stats,
+        );
         stats.batch_completed();
         Some(report)
     }
 
     /// Folds filled slots into the final report and updates the
     /// in-memory cache (persistence is the caller's decision): misses
-    /// are inserted, and the store parts the batch's `cell` computed are
-    /// kept beside their files' entries.
+    /// are inserted with what they read, and the store parts the
+    /// batch's `cell` computed are kept beside the entries they belong
+    /// to.
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         started: Instant,
-        names: Vec<(String, u64)>,
+        keys: Vec<Keyed<'_>>,
+        set: u64,
         slots: Vec<Option<Slot>>,
         cell: &StoreCell,
         cache: &Cache,
         stats: &EngineStats,
     ) -> EngineReport {
         let built = cell.built_parts();
+        let filled = cell.get().is_some();
+        let current = |name: &str| key_of(&keys, name);
         let mut report = EngineReport::default();
-        let mut file_metrics = Vec::with_capacity(names.len());
+        let mut file_metrics = Vec::with_capacity(keys.len());
         let mut hits = 0usize;
         let mut misses = 0usize;
         let mut built_parts = built.iter().peekable();
-        for ((name, key), slot) in names.into_iter().zip(slots) {
-            let part = built_parts.next_if(|(file, _)| *file == name);
+        for (&(name, key), slot) in keys.iter().zip(slots) {
+            let built = built_parts.next_if(|(file, _)| file == name);
+            let fresh = matches!(slot, Some(Slot::Fresh(_)));
             let metrics = match slot.expect("every slot is either a hit or a finished job") {
                 Slot::Hit(summary) => {
                     hits += 1;
                     let metrics = FileMetrics {
-                        file: name,
+                        file: name.to_owned(),
                         outcome: summary.outcome,
                         from_cache: true,
                         worker: None,
@@ -500,9 +578,10 @@ impl Engine {
                 Slot::Fresh(done) => {
                     misses += 1;
                     let (outcome, bmc) = match done.result {
-                        Ok(file_report) => {
+                        Ok((file_report, reads)) => {
                             let summary = file_report.summary();
-                            let evicted = cache.insert(done.content_key, summary.clone());
+                            let reads = entry_reads(name, reads, set, &current);
+                            let evicted = cache.insert(key, reads, summary.clone());
                             if evicted > 0 {
                                 stats.record_evictions(evicted);
                             }
@@ -515,12 +594,12 @@ impl Engine {
                             counted
                         }
                         Err(e) => {
-                            report.failed_files.push((name.clone(), e.to_string()));
+                            report.failed_files.push((name.to_owned(), e.to_string()));
                             (FileOutcome::ParseError, XbmcStats::default())
                         }
                     };
                     FileMetrics {
-                        file: name,
+                        file: name.to_owned(),
                         outcome,
                         from_cache: false,
                         worker: Some(done.worker),
@@ -532,9 +611,18 @@ impl Engine {
             };
             file_metrics.push(metrics);
             // After the insert, so a miss's new entry takes its part
-            // (an uncached outcome leaves no entry to take it).
-            if let Some((file, part)) = part {
-                cache.attach_part(file, key, Arc::clone(part));
+            // (an uncached outcome leaves no entry to take it, unless an
+            // older one still holds for this set). A filled cell has
+            // every file's part: a re-verified store reader's was seeded
+            // from its old entry rather than built, and its new entry
+            // takes it too.
+            let part = match built {
+                Some((_, part)) => Some(Arc::clone(part)),
+                None if fresh && filled => cell.part(name),
+                None => None,
+            };
+            if let Some(part) = part {
+                cache.attach_part(name, key, &current, part);
             }
         }
         report.metrics = EngineMetrics {
@@ -549,34 +637,57 @@ impl Engine {
     }
 }
 
-/// Each file's cache key, in file-name order: the file's own hash;
-/// files whose verdict can depend on other files ([`depends_on_set`])
-/// also fold in the whole set (conservative but sound — include
-/// resolution is dynamic enough that computing the precise closure up
-/// front would duplicate the parser).
-///
-/// Persisted caches are keyed by these values, so the tests pin them to
-/// a verbatim copy of the original definition, which differs only in
-/// missing include keywords that are not lowercase.
-fn content_keys(sources: &SourceSet) -> Vec<(String, u64)> {
-    let own: Vec<u64> = sources
-        .iter()
-        .map(|(name, src)| content_hash(name, src))
-        .collect();
-    let set_hash = own.iter().fold(0u64, |h, &own| hash::combine(h, own));
-    let mut lower = String::new();
+/// Each file's content key, in file-name order: the hash of its own
+/// name and text. A cache entry is keyed on it and on the content keys
+/// of the files its verification looked up (see the [`crate::cache`]
+/// module docs), so an edit re-verifies the edited file and the files
+/// that read it, not the whole set.
+fn content_keys(sources: &SourceSet) -> Vec<Keyed<'_>> {
     sources
         .iter()
-        .zip(own)
-        .map(|((name, src), own)| {
-            let key = if depends_on_set(src, &mut lower) {
-                hash::combine(own, set_hash)
-            } else {
-                own
-            };
-            (name.to_owned(), key)
-        })
+        .map(|(name, src)| (name, content_hash(name, src)))
         .collect()
+}
+
+/// The hash of a batch's whole source set: every file's content key,
+/// folded in name order. The store summary is a function of the set.
+fn set_hash(keys: &[Keyed<'_>]) -> u64 {
+    keys.iter().fold(0, |h, &(_, key)| hash::combine(h, key))
+}
+
+/// `name`'s content key in a batch's [`content_keys`], or `None` when
+/// the batch has no such file.
+fn key_of(keys: &[Keyed<'_>], name: &str) -> Option<u64> {
+    keys.binary_search_by(|&(file, _)| file.cmp(name))
+        .ok()
+        .map(|i| keys[i].1)
+}
+
+/// What `file`'s verification read, as its cache entry keeps it: every
+/// other file name include resolution looked up, once and in name
+/// order, with its content key in this batch (`current`), and the
+/// digest of the store summary it read, stamped with the batch's `set`.
+fn entry_reads(
+    file: &str,
+    reads: FileReads,
+    set: u64,
+    current: &dyn Fn(&str) -> Option<u64>,
+) -> EntryReads {
+    let mut names = reads.includes;
+    names.sort_unstable();
+    names.dedup();
+    let includes = names
+        .into_iter()
+        .filter(|name| name != file)
+        .map(|name| {
+            let key = current(&name);
+            (name, key)
+        })
+        .collect();
+    EntryReads {
+        includes,
+        store: reads.store.map(|digest| StoreRead { digest, set }),
+    }
 }
 
 /// Hashes one file's identity: its name and contents.
@@ -585,138 +696,4 @@ fn content_hash(name: &str, src: &str) -> u64 {
         hash::fold(hash::fnv1a_64(name.as_bytes()), &[0]),
         src.as_bytes(),
     )
-}
-
-/// Whether a file's verdict can depend on other files in the set.
-/// Any PHP include form (`include`, `include_once`, `require`,
-/// `require_once`, in any case — PHP keywords are case-insensitive)
-/// contains one of the tokens below, so this test is conservative: it
-/// never misses a dependency, at worst it rebuilds an independent file.
-///
-/// The same reasoning covers the cross-request store model: a file
-/// whose verdict can read a store cell — a result-set fetch, a
-/// `$_SESSION` access, a `file_get_contents` call — depends on the
-/// write levels of *every* file in the set (the batch store summary).
-/// Any such read site mentions one of the store tokens below, so files
-/// without them keep per-file cache keys. The scan ignores ASCII case
-/// throughout; `lower` is scratch space, reused across files.
-fn depends_on_set(src: &str, lower: &mut String) -> bool {
-    lower.clear();
-    lower.push_str(src);
-    lower.make_ascii_lowercase();
-    [
-        "include",
-        "require",
-        "fetch",
-        "_session",
-        "file_get_contents",
-        "select",
-    ]
-    .iter()
-    .any(|token| lower.contains(token))
-}
-
-#[cfg(test)]
-mod tests {
-    use proptest::prelude::*;
-
-    use super::*;
-
-    /// `content_keys` and `depends_on_set` as first written, verbatim:
-    /// persisted caches are keyed by their values.
-    mod original {
-        use super::super::content_hash;
-        use crate::hash;
-        use php_front::SourceSet;
-
-        pub fn content_keys(sources: &SourceSet) -> Vec<(String, u64)> {
-            let set_hash = sources.iter().fold(0u64, |h, (name, src)| {
-                hash::combine(h, content_hash(name, src))
-            });
-            sources
-                .iter()
-                .map(|(name, src)| {
-                    let own = content_hash(name, src);
-                    let key = if depends_on_set(src) {
-                        hash::combine(own, set_hash)
-                    } else {
-                        own
-                    };
-                    (name.to_owned(), key)
-                })
-                .collect()
-        }
-
-        pub fn depends_on_set(src: &str) -> bool {
-            if src.contains("include") || src.contains("require") {
-                return true;
-            }
-            let lower = src.to_ascii_lowercase();
-            ["fetch", "_session", "file_get_contents", "select"]
-                .iter()
-                .any(|token| lower.contains(token))
-        }
-    }
-
-    /// Source fragments: every dependency token in several cases,
-    /// near misses, and non-ASCII text.
-    const FRAGMENTS: [&str; 22] = [
-        "<?php ",
-        "include 'a.php'; ",
-        "INCLUDE 'a.php'; ",
-        "require_once 'b.php'; ",
-        "Require 'b.php'; ",
-        "$r = mysql_fetch_array($h); ",
-        "FETCH",
-        "fetc",
-        "$_SESSION['n'] ",
-        "_sEsSiOn",
-        "file_get_contents('m.txt') ",
-        "File_Get_Contents",
-        "file_get_content",
-        "SELECT c FROM t ",
-        "Select",
-        "selec",
-        "s",
-        "f",
-        "_",
-        "echo 'é ß ünïcode'; ",
-        "$x = $_GET['x']; echo $x; ",
-        "// comment\n",
-    ];
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Keys equal the original's for every file but those whose
-        /// only include keyword is not lowercase: the original missed
-        /// that dependency, so those files now fold in the set hash.
-        #[test]
-        fn content_keys_match_the_original(
-            files in prop::collection::vec(
-                (0usize..6, prop::collection::vec(0usize..FRAGMENTS.len(), 0..12)),
-                0..6,
-            ),
-        ) {
-            let mut set = SourceSet::new();
-            for (name, fragments) in &files {
-                let src: String = fragments.iter().map(|&i| FRAGMENTS[i]).collect();
-                set.add_file(format!("f{name}.php"), src);
-            }
-            let keys = content_keys(&set);
-            let original = original::content_keys(&set);
-            prop_assert_eq!(keys.len(), original.len());
-            for (((name, key), (_, original_key)), (_, src)) in
-                keys.iter().zip(&original).zip(set.iter())
-            {
-                if depends_on_set(src, &mut String::new()) && !original::depends_on_set(src) {
-                    let lower = src.to_ascii_lowercase();
-                    prop_assert!(lower.contains("include") || lower.contains("require"), "{}", src);
-                    prop_assert!(key != original_key, "{}", name);
-                } else {
-                    prop_assert_eq!(key, original_key, "{}", name);
-                }
-            }
-        }
-    }
 }

@@ -136,6 +136,7 @@ mod tests {
 
     use super::*;
     use crate::EngineBuilder;
+    use webssari_core::FileOutcome;
 
     fn small_set() -> SourceSet {
         let mut set = SourceSet::new();
@@ -300,6 +301,66 @@ mod tests {
         // the two-file set (same name and content, same key).
         assert_eq!(snap.cache_hits, 3);
         assert_eq!(snap.cache_misses, 2);
+    }
+
+    #[test]
+    fn try_run_cached_checks_a_store_readers_digest() {
+        let page = "<?php $_SESSION['n'] = 'hi'; $m = $_SESSION['n']; echo $m;";
+        let mut single = SourceSet::new();
+        single.add_file("guest.php", page);
+        let mut with_writer = single.clone();
+        with_writer.add_file("writer.php", "<?php $_SESSION['n'] = $_GET['n'];");
+        let dir = std::env::temp_dir().join(format!(
+            "webssari-handle-digest-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id(),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let handle = EngineBuilder::new().cache_dir(&dir).build().into_handle();
+
+        // Alone, the page reads its own write: the one-file summary.
+        let alone = handle.run(&single);
+        assert_eq!(alone.files[0].summary.outcome, FileOutcome::Verified);
+        let fast = handle
+            .try_run_cached(&single)
+            .expect("warm and same summary");
+        assert_eq!(fast.render_text(), handle.run(&single).render_text());
+
+        // Beside a tainted writer the page read another summary, so the
+        // one-file set no longer matches what its entry recorded.
+        let both = handle.run(&with_writer);
+        assert_eq!(both.files[0].summary.outcome, FileOutcome::Vulnerable);
+        assert!(!both.files[0].from_cache);
+        // The re-verified page keeps the part its old entry held, so the
+        // fast path can take the digest, and declines on it.
+        assert_eq!(handle.cache().store_parts(), 2);
+        assert!(handle.try_run_cached(&single).is_none());
+        let again = handle.run(&single);
+        assert_eq!(again.files[0].summary.outcome, FileOutcome::Verified);
+        assert!(!again.files[0].from_cache);
+
+        // A reloaded entry holds no store part. It read the summary of
+        // this very one-file set, so the fast path needs none.
+        handle.flush_cache().unwrap();
+        let engine = EngineBuilder::new().cache_dir(&dir).build();
+        assert!(engine
+            .clone()
+            .into_handle()
+            .try_run_cached(&single)
+            .is_some());
+
+        // Verified beside the writer, the page read another set's
+        // summary: a reloaded fast path would need the page's part for
+        // the digest, and declines; a full run builds it and re-verifies.
+        handle.run(&with_writer);
+        handle.flush_cache().unwrap();
+        let reloaded = engine.into_handle();
+        assert!(reloaded.try_run_cached(&single).is_none());
+        let full = reloaded.run(&single);
+        assert!(!full.files[0].from_cache);
+        assert_eq!(full.metrics.store_parts_built, 1);
+        assert!(reloaded.try_run_cached(&single).is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

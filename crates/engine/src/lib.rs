@@ -14,11 +14,16 @@
 //!   sequential [`webssari_core::Verifier`] path for any worker count.
 //!   The batch's cross-request store summary is built on demand, by the
 //!   first job whose file reads a store, from per-file store parts the
-//!   cache keeps in memory beside its entries — only files whose
-//!   content key changed have their part recomputed, and a job whose
-//!   file reads no store publishes its part from its own verification.
-//! * **Incremental cache** ([`Cache`]) — results keyed by content hash
-//!   and a configuration fingerprint
+//!   cache keeps in memory beside its entries — only re-verified files
+//!   have their part recomputed, and a job whose file reads no store
+//!   publishes its part from its own verification.
+//! * **Incremental cache** ([`Cache`]) — each entry records what its
+//!   verification read: the file's content hash, the files its include
+//!   resolution looked up, and the digest of the store summary if the
+//!   filter consulted it. A hit re-checks only those reads, so an edit
+//!   re-verifies the edited file, the files that read it and the store
+//!   readers whose summary it changed. Entries live under a
+//!   configuration fingerprint
 //!   ([`webssari_core::Verifier::config_description`]); persisted as
 //!   JSON, self-invalidating when the tool version, policy, unroll
 //!   depth, options, or prelude change. Inconclusive outcomes
@@ -60,7 +65,7 @@ pub use jsonio as json;
 /// re-exports keep the historical `webssari_engine` paths working).
 pub use webssari_core::json::{summary_from_value, summary_to_value};
 
-pub use cache::{Cache, CacheCaps, CACHE_FILE_NAME};
+pub use cache::{Cache, CacheCaps, CacheHit, EntryReads, StoreRead, CACHE_FILE_NAME};
 pub use engine::{Engine, EngineBuilder, EngineFileResult, EngineReport};
 pub use handle::EngineHandle;
 pub use metrics::{EngineMetrics, FileMetrics};

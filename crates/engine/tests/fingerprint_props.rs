@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use webssari_core::{FileOutcome, FileSummary, SolveBudget, Verifier, VerifierBuilder};
-use webssari_engine::{Cache, CacheCaps, EngineBuilder};
+use webssari_engine::{Cache, CacheCaps, EngineBuilder, EntryReads};
 
 /// The verifier knobs the fingerprint must track.
 #[derive(Clone, Debug, PartialEq)]
@@ -141,10 +141,10 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::new(&fingerprint, CacheCaps::unlimited());
-        cache.insert(7, summary("a.php"));
+        cache.insert(7, EntryReads::default(), summary("a.php"));
         cache.save(&dir).unwrap();
         let loaded = Cache::load(&dir, &fingerprint, CacheCaps::unlimited());
-        prop_assert!(loaded.lookup("a.php", 7).is_some());
+        prop_assert!(loaded.lookup("a.php", 7, &|_| None).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -157,9 +157,9 @@ proptest! {
 fn shipped_config_descriptions_are_pinned() {
     use webssari_engine::hash::{fnv1a_64, to_hex};
     let pinned = |v: &Verifier| to_hex(fnv1a_64(v.config_description().as_bytes()));
-    assert_eq!(pinned(&Verifier::new()), "e47c48e4d7db1471");
+    assert_eq!(pinned(&Verifier::new()), "0e8dde7f2a09d1eb");
     assert_eq!(
         pinned(&VerifierBuilder::new().multiclass().build()),
-        "423aa3eee315f765"
+        "bc50f587dbb3d9db"
     );
 }

@@ -3,8 +3,9 @@
 //! These tests pin that this is invisible: verdicts still follow edits
 //! to the writers a reader depends on, reports stay byte-identical to
 //! verifying the project against the eagerly built summary, for any
-//! worker count, and the cache file is unchanged. They also pin that a
-//! warm handle recomputes only the parts whose content key changed.
+//! worker count, and parts never reach the cache file. They also pin
+//! that a warm handle recomputes only the parts of edited files, and
+//! re-verifies a store reader only when the summary it read changed.
 
 use std::sync::Arc;
 
@@ -39,8 +40,9 @@ fn outcome(report: &EngineReport, file: &str) -> (FileOutcome, bool) {
     (f.summary.outcome, f.from_cache)
 }
 
-/// Editing the writer re-keys the reader on the same warm handle, and
-/// the reader's verdict follows the writer's taint both ways. (Switching
+/// Editing the writer changes the store summary the reader read, so the
+/// warm handle re-verifies the reader, and the reader's verdict follows
+/// the writer's taint both ways. (Switching
 /// back may be served from the cache: it can still hold the entry of
 /// the first batch, under the same key and with the same verdict.)
 #[test]
@@ -62,7 +64,7 @@ fn reader_verdict_follows_writer_edits_on_a_warm_handle() {
             if step == 1 {
                 assert!(
                     !cached,
-                    "workers {workers}: the writer edit must re-key the reader"
+                    "workers {workers}: the writer edit must re-verify the reader"
                 );
             }
             // The store-free file keeps its own cache key throughout.
@@ -143,12 +145,12 @@ fn misses(report: &EngineReport) -> Vec<&str> {
         .collect()
 }
 
-/// A comment edit to a data file re-keys it and every file whose key
-/// folds in the whole set; a warm handle recomputes the store parts of
-/// exactly those files and reuses the rest. Pass 1 builds from source
-/// only the parts pass 2 did not publish.
+/// A comment edit to a data file re-verifies that file alone: the
+/// store reader's hit stands, since the summary the batch fills from
+/// the held parts and the edited file's published one has the digest
+/// the reader recorded. Nothing is built from source.
 #[test]
-fn a_comment_edit_rebuilds_only_the_rekeyed_parts() {
+fn a_comment_edit_reverifies_only_the_edited_file() {
     for workers in [1, 2] {
         let handle = EngineBuilder::new().workers(workers).build().into_handle();
         let set = reader_project();
@@ -165,21 +167,14 @@ fn a_comment_edit_rebuilds_only_the_rekeyed_parts() {
 
         let set = edited();
         let report = handle.run(&set);
-        // `reader.php` and `session.php` mention store tokens, so their
-        // keys fold in the set hash the edit changed; `plain.php` and
-        // `writer.php` keep theirs.
-        assert_eq!(
-            misses(&report),
-            ["data.php", "reader.php", "session.php"],
-            "workers {workers}"
-        );
-        // `data.php` publishes; `reader.php` builds its own part and
-        // the one of `session.php`.
-        assert_parts_built(&report, workers, 2, 1, 3);
-        // Every entry holds a part (the cache may still hold a re-keyed
-        // file's entry of the first batch, part and all).
+        assert_eq!(misses(&report), ["data.php"], "workers {workers}");
+        // `data.php` publishes; every other part is held.
+        assert_eq!(report.metrics.store_parts_built, 0, "workers {workers}");
         assert_eq!(handle.cache().store_parts(), handle.cached_files());
-        assert_eq!(outcome(&report, "reader.php").0, FileOutcome::Vulnerable);
+        assert_eq!(
+            outcome(&report, "reader.php"),
+            (FileOutcome::Vulnerable, true)
+        );
         assert_matches_cold(&report, &set, &format!("workers {workers}"));
     }
 }
@@ -217,8 +212,8 @@ fn store_parts_never_outnumber_live_entries() {
 
 /// Parts never reach the cache file: every entry keeps exactly the
 /// persisted fields, a handle that reloads the file holds no parts and
-/// writes it back byte for byte, and its first forced batch computes
-/// every part again.
+/// writes it back byte for byte, and the first batch that needs the
+/// summary computes every part again.
 #[test]
 fn parts_stay_out_of_the_cache_file() {
     for workers in [1, 2] {
@@ -247,7 +242,7 @@ fn parts_stay_out_of_the_cache_file() {
             let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
             assert_eq!(
                 names,
-                ["file", "content_key", "summary"],
+                ["file", "content_key", "includes", "store", "summary"],
                 "workers {workers}"
             );
         }
@@ -261,17 +256,27 @@ fn parts_stay_out_of_the_cache_file() {
             written,
             "workers {workers}"
         );
+        // `reader.php` read the summary of this very set, so an
+        // unchanged re-run needs no summary and builds no part.
+        let unchanged = reloaded.run(&edited());
+        assert_eq!(unchanged.metrics.cache_hits, edited().len());
+        assert_eq!(unchanged.metrics.store_parts_built, 0);
+
         let mut set = reader_project();
         set.add_file(
             "data.php",
             "<?php // v3\n$rows = array('a', 'b'); echo $rows;",
         );
         let report = reloaded.run(&set);
-        assert_eq!(misses(&report), ["data.php", "reader.php", "session.php"]);
-        // Only `data.php` publishes; the hits `plain.php` and
-        // `writer.php` hold no part after the reload, so the fill
-        // builds them with `reader.php`'s and `session.php`'s.
-        assert_parts_built(&report, workers, 4, 3, set.len());
+        assert_eq!(misses(&report), ["data.php"]);
+        // Only `data.php` publishes; the hits hold no part after the
+        // reload, so checking `reader.php`'s recorded digest builds the
+        // other four, after phase 1 at any worker count.
+        assert_parts_built(&report, workers, 4, 4, 4);
+        assert_eq!(
+            outcome(&report, "reader.php"),
+            (FileOutcome::Vulnerable, true)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

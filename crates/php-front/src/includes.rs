@@ -131,10 +131,41 @@ impl std::error::Error for IncludeError {}
 ///
 /// See [`IncludeError`].
 pub fn resolve_includes(set: &SourceSet, entry: &str) -> Result<Program, IncludeError> {
+    resolve_includes_recording(set, entry, &mut Vec::new())
+}
+
+/// [`resolve_includes`], appending to `looked_up` every file name it
+/// looks up in `set`, in lookup order, the entry first: present names
+/// and absent ones, and the lookups made before an error. Resolution
+/// reads nothing else of `set`, so its result — program or error — is
+/// the same for any set whose files under these names are the same
+/// (and absent where they were absent).
+///
+/// ```
+/// use php_front::{resolve_includes_recording, SourceSet};
+///
+/// let mut set = SourceSet::new();
+/// set.add_file("index.php", "<?php include 'lib.php'; include 'gone.php';");
+/// set.add_file("lib.php", "<?php $x = 1;");
+/// set.add_file("other.php", "<?php $y = 2;");
+/// let mut looked_up = Vec::new();
+/// assert!(resolve_includes_recording(&set, "index.php", &mut looked_up).is_err());
+/// assert_eq!(looked_up, ["index.php", "lib.php", "gone.php"]);
+/// ```
+///
+/// # Errors
+///
+/// See [`IncludeError`].
+pub fn resolve_includes_recording(
+    set: &SourceSet,
+    entry: &str,
+    looked_up: &mut Vec<String>,
+) -> Result<Program, IncludeError> {
     let mut resolver = Resolver {
         set,
         once_done: HashSet::new(),
         stack: Vec::new(),
+        looked_up,
     };
     let stmts = resolver.resolve_file(entry, None)?;
     Ok(Program { stmts })
@@ -144,6 +175,7 @@ struct Resolver<'a> {
     set: &'a SourceSet,
     once_done: HashSet<String>,
     stack: Vec<String>,
+    looked_up: &'a mut Vec<String>,
 }
 
 impl Resolver<'_> {
@@ -152,6 +184,7 @@ impl Resolver<'_> {
         name: &str,
         included_from: Option<&str>,
     ) -> Result<Vec<Stmt>, IncludeError> {
+        self.looked_up.push(name.to_owned());
         let source = self
             .set
             .file(name)
@@ -426,6 +459,52 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn recording_lists_every_lookup_up_to_the_error() {
+        let record = |files: &[(&str, &str)], entry: &str| {
+            let mut looked_up = Vec::new();
+            let ok = resolve_includes_recording(&set(files), entry, &mut looked_up).is_ok();
+            (ok, looked_up)
+        };
+        // An `_once` repeat reads nothing; a plain repeat reads again.
+        let (ok, names) = record(
+            &[
+                ("a.php", "<?php include_once 'b.php'; include_once 'b.php'; include 'c.php'; include 'c.php';"),
+                ("b.php", "<?php $x = 1;"),
+                ("c.php", "<?php $y = 1;"),
+            ],
+            "a.php",
+        );
+        assert!(ok);
+        assert_eq!(names, ["a.php", "b.php", "c.php", "c.php"]);
+        // A cycle, a dynamic path and an absent file each stop the walk
+        // after the lookups that led to them.
+        let (ok, names) = record(
+            &[
+                ("a.php", "<?php include 'b.php';"),
+                ("b.php", "<?php include 'a.php';"),
+            ],
+            "a.php",
+        );
+        assert!(!ok);
+        assert_eq!(names, ["a.php", "b.php", "a.php"]);
+        let (ok, names) = record(
+            &[
+                (
+                    "a.php",
+                    "<?php include 'b.php'; include $p; include 'c.php';",
+                ),
+                ("b.php", "<?php"),
+            ],
+            "a.php",
+        );
+        assert!(!ok);
+        assert_eq!(names, ["a.php", "b.php"]);
+        let (ok, names) = record(&[("a.php", "<?php include 'nope.php';")], "a.php");
+        assert!(!ok);
+        assert_eq!(names, ["a.php", "nope.php"]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod span;
 mod token;
 
 pub use error::ParseError;
-pub use includes::{resolve_includes, IncludeError, SourceSet};
+pub use includes::{resolve_includes, resolve_includes_recording, IncludeError, SourceSet};
 pub use lexer::Lexer;
 pub use parser::{parse_source, Parser};
 pub use printer::print_program;

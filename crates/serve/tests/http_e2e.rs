@@ -378,6 +378,116 @@ fn an_idle_worker_takes_a_verify_while_another_runs_a_batch() {
     server.shutdown().expect("graceful shutdown");
 }
 
+/// A `/batch` body of `files` (name, source).
+fn batch_body(files: &[(&str, &str)]) -> String {
+    let files: Vec<Value> = files
+        .iter()
+        .map(|(name, source)| {
+            Value::obj(vec![
+                ("name", Value::str(*name)),
+                ("source", Value::str(*source)),
+            ])
+        })
+        .collect();
+    Value::obj(vec![("files", Value::Arr(files))]).to_json()
+}
+
+#[test]
+fn an_edited_batch_reverifies_only_the_edited_page_and_its_includers() {
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    let project = |lib: &str| {
+        batch_body(&[
+            ("lib.php", lib),
+            ("page.php", "<?php include 'lib.php'; echo $v;"),
+            ("other.php", "<?php include 'footer.php'; echo 'x';"),
+            ("footer.php", "<?php echo 'footer';"),
+            (
+                "writer.php",
+                "<?php $w = $_POST['w']; mysql_query(\"INSERT INTO msgs (c) VALUES ('$w')\");",
+            ),
+            (
+                "reader.php",
+                "<?php $h = mysql_query('SELECT c FROM msgs'); \
+                 $r = mysql_fetch_array($h); echo $r;",
+            ),
+        ])
+    };
+    let lib = "<?php $v = $_GET['v'];";
+    let cold = json_of(&post(addr, "/batch", "", &project(lib)));
+    let summary = cold.get("summary").unwrap();
+    assert_eq!(summary.get("cache_misses").and_then(Value::as_u64), Some(6));
+
+    let edited = post(addr, "/batch", "", &project(&format!("{lib}\n// edit\n")));
+    assert_eq!(status_of(&edited), 200, "response: {edited:?}");
+    let v = json_of(&edited);
+    let summary = v.get("summary").unwrap();
+    assert_eq!(summary.get("cache_misses").and_then(Value::as_u64), Some(2));
+    assert_eq!(summary.get("cache_hits").and_then(Value::as_u64), Some(4));
+    let fresh: Vec<&str> = v
+        .get("files")
+        .and_then(Value::as_arr)
+        .unwrap()
+        .iter()
+        .filter(|f| f.get("from_cache") == Some(&Value::Bool(false)))
+        .filter_map(|f| f.get("file").and_then(Value::as_str))
+        .collect();
+    assert_eq!(fresh, ["lib.php", "page.php"]);
+
+    let metrics = get(addr, "/metrics");
+    assert!(
+        metrics.contains("webssari_engine_cache_hits_total 4\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("webssari_engine_cache_misses_total 8\n"),
+        "{metrics}"
+    );
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn a_warm_store_reader_is_answered_inline_from_the_cache() {
+    // One worker, one queue slot: once a slow batch pins the worker and
+    // a second request fills the slot, any request that needs a worker
+    // is shed with 429. A warm `/verify` of a page that reads the store
+    // it writes must still come back 200 from the cache: the inline
+    // path checks the summary digest the entry recorded itself.
+    let server = start(ServerConfig {
+        http_workers: 1,
+        queue_depth: 1,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let state = std::sync::Arc::clone(server.state());
+    let page = "<?php $_SESSION['n'] = $_GET['n']; $m = $_SESSION['n']; echo $m;";
+
+    let cold = json_of(&post(addr, "/verify?file=guest.php", "", page));
+    assert_eq!(cold.get("from_cache"), Some(&Value::Bool(false)));
+    assert_eq!(
+        cold.get("outcome").and_then(Value::as_str),
+        Some("vulnerable")
+    );
+
+    let batch = slow_batch();
+    let pinned = std::thread::spawn(move || post(addr, "/batch", "", &batch));
+    wait_for("started the batch", &|| {
+        state.engine.snapshot().jobs_in_flight > 0
+    });
+    let queued = std::thread::spawn(move || get(addr, "/healthz"));
+    wait_for("queued the second request", &|| state.queue.len() == 1);
+
+    let warm = post(addr, "/verify?file=guest.php", "", page);
+    assert_eq!(status_of(&warm), 200, "response: {warm:?}");
+    let v = json_of(&warm);
+    assert_eq!(v.get("from_cache"), Some(&Value::Bool(true)));
+    assert_eq!(v.get("outcome").and_then(Value::as_str), Some("vulnerable"));
+
+    assert_eq!(status_of(&pinned.join().expect("batch client")), 200);
+    assert_eq!(status_of(&queued.join().expect("queued client")), 200);
+    server.shutdown().expect("graceful shutdown");
+}
+
 #[test]
 fn malformed_requests_get_clean_errors_and_the_server_survives() {
     let server = start(ServerConfig {

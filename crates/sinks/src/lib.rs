@@ -378,6 +378,28 @@ impl StoreSummary {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &StoreEntry)> {
         self.entries.iter().map(|(k, e)| (k.as_str(), e))
     }
+
+    /// A 64-bit FNV-1a digest of the whole summary: every key, level
+    /// and write site, each string prefixed by its length so that no
+    /// two summaries share a byte stream. Equal summaries have equal
+    /// digests on every platform and in every run, so a verification
+    /// can record which summary it read and a later run can tell
+    /// whether it would read the same one.
+    pub fn digest(&self) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let fold = |h: u64, bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+        };
+        let text = |h: u64, s: &str| fold(fold(h, &(s.len() as u64).to_le_bytes()), s.as_bytes());
+        self.entries.iter().fold(FNV_OFFSET, |h, (key, entry)| {
+            let h = fold(text(h, key), &u32::from(entry.level).to_le_bytes());
+            let h = fold(h, &(entry.sites.len() as u64).to_le_bytes());
+            entry.sites.iter().fold(h, |h, site| text(h, site))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -538,5 +560,33 @@ mod tests {
         let before = a.clone();
         a.merge(&b, &l);
         assert_eq!(a, before);
+    }
+
+    #[test]
+    fn digest_tells_levels_keys_and_sites_apart() {
+        let l = TwoPoint::new();
+        let summary = |writes: &[(&str, Elem, &str)]| {
+            let mut s = StoreSummary::new();
+            for (key, level, site) in writes {
+                s.record(key, *level, site, &l);
+            }
+            s
+        };
+        let base = summary(&[("t1", TwoPoint::UNTAINTED, "a.php:1")]);
+        assert_eq!(base.digest(), base.clone().digest());
+        assert_ne!(base.digest(), StoreSummary::new().digest());
+        for other in [
+            summary(&[("t1", TwoPoint::TAINTED, "a.php:1")]),
+            summary(&[("t2", TwoPoint::UNTAINTED, "a.php:1")]),
+            summary(&[("t1", TwoPoint::UNTAINTED, "a.php:2")]),
+            summary(&[
+                ("t1", TwoPoint::UNTAINTED, "a.php:1"),
+                ("t1", TwoPoint::UNTAINTED, "b.php:1"),
+            ]),
+            // The same bytes split differently between key and site.
+            summary(&[("t1a", TwoPoint::UNTAINTED, ".php:1")]),
+        ] {
+            assert_ne!(base.digest(), other.digest(), "{other:?}");
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! webssari stages <file.php>
 //! ```
 //!
-//! `verify` exits nonzero when vulnerabilities are found, so the tool
-//! can gate CI. `patch` writes `<file><suffix>` next to each vulnerable
+//! `verify` exits 1 when vulnerabilities are found and 3 when none are
+//! but some file could not be verified (a parse error, an include
+//! failure, a nesting bound), so the tool can gate CI. `patch` writes `<file><suffix>` next to each vulnerable
 //! file (or rewrites in place with `--write`).
 
 use std::path::{Path, PathBuf};
@@ -60,7 +61,8 @@ USAGE:
 
 COMMANDS:
     verify   Check every .php file; print grouped reports with
-             counterexample traces. Exits 1 if vulnerabilities exist.
+             counterexample traces. Exits 1 if vulnerabilities exist,
+             else 3 if any file was skipped (not verified), else 0.
     lint     Static lint pass only (no SAT): taint findings, dead
              sanitizers, unreachable code, approximation points — with
              stable rule ids. Exits 1 if any error-level finding exists.
@@ -411,6 +413,8 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     for (file, err) in &report.failed_files {
         eprintln!("SKIPPED {file}: {err}");
     }
+    // A skipped file was never verified, so it must not read as secure.
+    let skipped = report.failed_files.len();
     if let Some(e) = &report.cache_error {
         eprintln!("webssari: warning: {e}");
     }
@@ -459,7 +463,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     }
     println!(
         "{} file(s), {} statements; {} vulnerable file(s), {} timeout(s); \
-         TS errors {}, BMC groups {}{}",
+         TS errors {}, BMC groups {}{}{}",
         report.files.len(),
         report.num_statements(),
         report.vulnerable_files(),
@@ -467,9 +471,15 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         report.ts_errors(),
         report.bmc_groups(),
         webssari::core::reduction_note(report.reduction(), report.timeout_files()),
+        match skipped {
+            0 => String::new(),
+            n => format!("; {n} skipped"),
+        },
     );
     if report.is_vulnerable() {
         ExitCode::FAILURE
+    } else if skipped > 0 {
+        ExitCode::from(3)
     } else {
         ExitCode::SUCCESS
     }

@@ -50,6 +50,47 @@ fn verify_exits_nonzero_on_findings_and_zero_when_clean() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// A file the pipeline refuses is not verified, so it must not pass as
+/// secure: the totals line counts it and `verify` exits 3, unless a
+/// finding elsewhere makes it exit 1.
+#[test]
+fn skipped_files_are_counted_and_exit_3() {
+    // One operator past the parser's chain bound, and a syntax error.
+    let chain = format!(
+        "<?php\n$q = $_GET['a']{};\necho $q;\n",
+        " . 'x'".repeat(299)
+    );
+    for (name, src) in [
+        ("chain.php", chain.as_str()),
+        ("syntax.php", "<?php if (\n"),
+    ] {
+        let dir = scratch(&[(name, src), ("safe.php", SAFE)]);
+        let out = webssari()
+            .args(["verify", dir.to_str().unwrap()])
+            .output()
+            .expect("run webssari");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: {stdout}{stderr}");
+        assert!(stderr.contains(&format!("SKIPPED {name}")), "{stderr}");
+        let totals = stdout.lines().last().unwrap_or_default();
+        assert!(
+            totals.starts_with("1 file(s),") && totals.ends_with("; 1 skipped"),
+            "{name}: {totals}"
+        );
+
+        // A finding still exits 1.
+        let dir = scratch(&[(name, src), ("index.php", VULN)]);
+        let out = webssari()
+            .args(["verify", dir.to_str().unwrap(), "--jobs", "2"])
+            .output()
+            .expect("run webssari");
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.trim_end().ends_with("; 1 skipped"), "{stdout}");
+    }
+}
+
 #[test]
 fn lint_exits_one_on_errors_and_writes_sarif() {
     let dir = scratch(&[("index.php", VULN), ("safe.php", SAFE)]);
