@@ -8,7 +8,12 @@
 //! carry a def-use witness ([`Diagnostic::steps`]) additionally get a
 //! `codeFlows` entry — one `threadFlow` whose locations trace the
 //! taint from source to sink — which SARIF viewers render as a
-//! step-through path.
+//! step-through path. Files the lint pass could not analyze (parse
+//! errors, include failures, nesting bounds) are reported in the run's
+//! one `invocation`: `executionSuccessful` is false and each skipped
+//! file gets an error-level `toolExecutionNotification` naming it, so
+//! an unanalyzed file never reads as clean. With no skipped file the
+//! run carries no `invocations` at all.
 
 use jsonio::Value;
 
@@ -42,8 +47,9 @@ fn rule_description(rule: &str) -> &'static str {
     }
 }
 
-/// Builds the SARIF 2.1.0 document for a set of diagnostics.
-pub fn to_sarif(diags: &[Diagnostic]) -> Value {
+/// Builds the SARIF 2.1.0 document for a set of diagnostics and the
+/// files that were skipped, as `(file, reason)` pairs.
+pub fn to_sarif(diags: &[Diagnostic], skipped: &[(String, String)]) -> Value {
     let rules = RULES
         .iter()
         .map(|id| {
@@ -56,32 +62,58 @@ pub fn to_sarif(diags: &[Diagnostic]) -> Value {
             ])
         })
         .collect();
-    let results = diags.iter().map(result).collect();
+    let mut run = vec![(
+        "tool",
+        Value::obj(vec![(
+            "driver",
+            Value::obj(vec![
+                ("name", Value::str("webssari")),
+                ("rules", Value::Arr(rules)),
+            ]),
+        )]),
+    )];
+    if !skipped.is_empty() {
+        run.push(("invocations", invocations(skipped)));
+    }
+    run.push(("results", Value::Arr(diags.iter().map(result).collect())));
     Value::obj(vec![
         ("$schema", Value::str(SARIF_SCHEMA)),
         ("version", Value::str("2.1.0")),
-        (
-            "runs",
-            Value::Arr(vec![Value::obj(vec![
-                (
-                    "tool",
-                    Value::obj(vec![(
-                        "driver",
-                        Value::obj(vec![
-                            ("name", Value::str("webssari")),
-                            ("rules", Value::Arr(rules)),
-                        ]),
-                    )]),
-                ),
-                ("results", Value::Arr(results)),
-            ])]),
-        ),
+        ("runs", Value::Arr(vec![Value::obj(run)])),
     ])
 }
 
 /// Renders the SARIF document as a JSON string.
-pub fn to_sarif_json(diags: &[Diagnostic]) -> String {
-    to_sarif(diags).to_json()
+pub fn to_sarif_json(diags: &[Diagnostic], skipped: &[(String, String)]) -> String {
+    to_sarif(diags, skipped).to_json()
+}
+
+/// The run's one unsuccessful `invocation`, with an error-level
+/// notification per skipped file.
+fn invocations(skipped: &[(String, String)]) -> Value {
+    let notifications = skipped
+        .iter()
+        .map(|(file, reason)| {
+            Value::obj(vec![
+                ("level", Value::str("error")),
+                ("message", Value::obj(vec![("text", Value::str(reason))])),
+                (
+                    "locations",
+                    Value::Arr(vec![Value::obj(vec![(
+                        "physicalLocation",
+                        Value::obj(vec![(
+                            "artifactLocation",
+                            Value::obj(vec![("uri", Value::str(file))]),
+                        )]),
+                    )])]),
+                ),
+            ])
+        })
+        .collect();
+    Value::Arr(vec![Value::obj(vec![
+        ("executionSuccessful", Value::Bool(false)),
+        ("toolExecutionNotifications", Value::Arr(notifications)),
+    ])])
 }
 
 /// A `physicalLocation` object for a site.
@@ -183,7 +215,7 @@ mod tests {
 
     #[test]
     fn document_shape_is_sarif_2_1_0() {
-        let doc = to_sarif(&sample());
+        let doc = to_sarif(&sample(), &[]);
         assert_eq!(doc.get("version").and_then(Value::as_str), Some("2.1.0"));
         assert_eq!(
             doc.get("$schema").and_then(Value::as_str),
@@ -207,8 +239,44 @@ mod tests {
     }
 
     #[test]
+    fn skipped_files_mark_the_invocation_unsuccessful() {
+        let run = |doc: &Value| doc.get("runs").and_then(Value::as_arr).unwrap()[0].clone();
+        assert_eq!(run(&to_sarif(&sample(), &[])).get("invocations"), None);
+        let skipped = [("b.php".to_owned(), "parse error at 1:12".to_owned())];
+        let run = run(&to_sarif(&sample(), &skipped));
+        let invocations = run.get("invocations").and_then(Value::as_arr).unwrap();
+        assert_eq!(invocations.len(), 1);
+        assert_eq!(
+            invocations[0].get("executionSuccessful"),
+            Some(&Value::Bool(false))
+        );
+        let notes = invocations[0]
+            .get("toolExecutionNotifications")
+            .and_then(Value::as_arr)
+            .unwrap();
+        assert_eq!(notes.len(), 1);
+        assert_eq!(notes[0].get("level").and_then(Value::as_str), Some("error"));
+        assert_eq!(
+            notes[0]
+                .get("message")
+                .and_then(|m| m.get("text"))
+                .and_then(Value::as_str),
+            Some("parse error at 1:12")
+        );
+        let uri = notes[0].get("locations").and_then(Value::as_arr).unwrap()[0]
+            .get("physicalLocation")
+            .and_then(|p| p.get("artifactLocation"))
+            .and_then(|a| a.get("uri"))
+            .and_then(Value::as_str);
+        assert_eq!(uri, Some("b.php"));
+        // The findings of the analyzed files are still reported.
+        let results = run.get("results").and_then(Value::as_arr).unwrap();
+        assert_eq!(results.len(), 2);
+    }
+
+    #[test]
     fn synthetic_sites_clamp_start_line_to_one() {
-        let doc = to_sarif(&sample());
+        let doc = to_sarif(&sample(), &[]);
         let run = &doc.get("runs").and_then(Value::as_arr).unwrap()[0];
         let results = run.get("results").and_then(Value::as_arr).unwrap();
         let start = results[1]
@@ -255,9 +323,9 @@ mod tests {
         /// quotes, backslashes, non-ASCII), and line numbers (incl. 0).
         #[test]
         fn sarif_round_trips_through_jsonio(diags in proptest::collection::vec(diag(), 0..8)) {
-            let json = to_sarif_json(&diags);
+            let json = to_sarif_json(&diags, &[]);
             let doc = jsonio::parse(&json).expect("emitted SARIF must re-parse");
-            prop_assert_eq!(doc.clone(), to_sarif(&diags));
+            prop_assert_eq!(doc.clone(), to_sarif(&diags, &[]));
             let run = &doc.get("runs").and_then(Value::as_arr).unwrap()[0];
             let results = run.get("results").and_then(Value::as_arr).unwrap();
             prop_assert_eq!(results.len(), diags.len());
@@ -324,7 +392,7 @@ mod tests {
 
     #[test]
     fn taint_results_carry_a_source_to_sink_code_flow() {
-        let doc = to_sarif(&sample());
+        let doc = to_sarif(&sample(), &[]);
         let run = &doc.get("runs").and_then(Value::as_arr).unwrap()[0];
         let results = run.get("results").and_then(Value::as_arr).unwrap();
         let flows = results[0].get("codeFlows").and_then(Value::as_arr).unwrap();

@@ -94,51 +94,10 @@ fn bench_loop_unroll(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fresh_vs_incremental(c: &mut Criterion) {
-    // The paper formulates one formula Bᵢ per assertion, solved by a
-    // fresh solver; the reproduction defaults to one incremental solver
-    // with assumption-scoped blocking clauses. Same semantics
-    // (property-tested); this measures the performance gap.
-    use webssari_ir::{abstract_interpret, filter_program, FilterOptions, Prelude};
-    use xbmc::{CheckOptions, Xbmc};
-    let src = mixed_workload(12);
-    let ast = php_front::parse_source(&src).unwrap();
-    let f = filter_program(
-        &ast,
-        &src,
-        "w.php",
-        &Prelude::standard(),
-        &FilterOptions::default(),
-    );
-    let ai = abstract_interpret(&f);
-    let mut group = c.benchmark_group("policies/solver_mode");
-    group.bench_function("incremental", |b| {
-        b.iter(|| {
-            let r = Xbmc::new(&ai).check_all();
-            assert_eq!(r.violated_assertions, 12);
-        })
-    });
-    group.bench_function("fresh_per_assert", |b| {
-        b.iter(|| {
-            let r = Xbmc::with_options(
-                &ai,
-                CheckOptions {
-                    fresh_solver_per_assert: true,
-                    ..CheckOptions::default()
-                },
-            )
-            .check_all();
-            assert_eq!(r.violated_assertions, 12);
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_two_point_vs_multiclass,
     bench_certification_overhead,
-    bench_loop_unroll,
-    bench_fresh_vs_incremental
+    bench_loop_unroll
 );
 criterion_main!(benches);

@@ -11,23 +11,14 @@
 //! * `encoding_blowup` — regenerates the §3.3.1-vs-§3.3.2 comparison
 //!   (E7): CNF sizes and solve times of the auxiliary-variable encoding
 //!   against variable renaming.
-//! * `solver_core` — runs the [`solver_core`] suite (arena solver vs
-//!   the frozen pre-refactor solver) and writes `BENCH_sat.json` at the
-//!   repo root; `--fast --check BENCH_sat.json` is the CI smoke mode.
-//! * `bench_serve` — load-generates the `webssari serve` event loop,
-//!   cold then warm, and writes `BENCH_serve.json` at the repo root;
-//!   `--fast --check BENCH_serve.json` is the CI smoke mode.
 //!
 //! Criterion benches (`cargo bench -p webssari-bench`) cover the SAT
 //! substrate, both encodings, the fixing-set solvers, the Figure 10
 //! pipeline, end-to-end scaling, and the policy ablations (two-point vs
-//! multi-class lattice, certification overhead, loop unrolling,
-//! incremental vs per-assertion solving).
+//! multi-class lattice, certification overhead, loop unrolling).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod solver_core;
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -71,74 +62,6 @@ pub fn random_3sat(num_vars: usize, num_clauses: usize, seed: u64) -> CnfFormula
         f.add_clause(Clause::new(lits));
     }
     f.ensure_var(Var::new(num_vars - 1));
-    f
-}
-
-/// An unrolled nondeterministic counter — the BMC-shaped deep-chain
-/// unsat family: `steps` transitions `s_{i+1} = s_i + 1 + c_i` (each
-/// step nondeterministically adds 1 or 2) through Tseitin ripple-carry
-/// adders, with the final state asserted equal to `2·steps + 1` — one
-/// more than the reachable maximum. Refuting the target forces the
-/// solver back through every unrolled transition, the conflict shape
-/// xBMC produces on safe programs with long data-flow chains.
-pub fn bmc_counter(steps: usize) -> CnfFormula {
-    let target = 2 * steps + 1;
-    let width = usize::BITS as usize - target.leading_zeros() as usize;
-    let mut f = CnfFormula::new();
-    let mut next_var = 0usize;
-    let mut fresh = || {
-        let v = Var::new(next_var);
-        next_var += 1;
-        v
-    };
-    // A shared constant-false literal for zero-valued adder inputs.
-    let zero = fresh().positive();
-    f.add_lits([!zero]);
-    // t ↔ a ⊕ b.
-    let xor2 = |f: &mut CnfFormula, a: Lit, b: Lit, t: Lit| {
-        f.add_lits([!a, !b, !t]);
-        f.add_lits([a, b, !t]);
-        f.add_lits([!a, b, t]);
-        f.add_lits([a, !b, t]);
-    };
-    // co ↔ maj(a, b, cin).
-    let maj = |f: &mut CnfFormula, a: Lit, b: Lit, cin: Lit, co: Lit| {
-        f.add_lits([!a, !b, co]);
-        f.add_lits([!a, !cin, co]);
-        f.add_lits([!b, !cin, co]);
-        f.add_lits([a, b, !co]);
-        f.add_lits([a, cin, !co]);
-        f.add_lits([b, cin, !co]);
-    };
-    // s_0 = 0.
-    let mut state: Vec<Lit> = vec![zero; width];
-    for _ in 0..steps {
-        // The addend 1 + cᵢ is 01 (cᵢ false) or 10 (cᵢ true).
-        let choice = fresh().positive();
-        let mut carry = zero;
-        let mut next_state = Vec::with_capacity(width);
-        for (j, &a) in state.iter().enumerate() {
-            let b = match j {
-                0 => !choice,
-                1 => choice,
-                _ => zero,
-            };
-            let half = fresh().positive();
-            xor2(&mut f, a, b, half);
-            let sum = fresh().positive();
-            xor2(&mut f, half, carry, sum);
-            let co = fresh().positive();
-            maj(&mut f, a, b, carry, co);
-            next_state.push(sum);
-            carry = co;
-        }
-        // The width holds 2·steps + 1, so the top carry is never set on
-        // a reachable path; leaving it unconstrained changes nothing.
-        state = next_state;
-    }
-    for (j, &bit) in state.iter().enumerate() {
-        f.add_lits([if target >> j & 1 == 1 { bit } else { !bit }]);
-    }
     f
 }
 
@@ -293,29 +216,6 @@ mod tests {
         let f = pigeonhole(4, 3);
         assert_eq!(f.num_vars(), 12);
         assert!(f.num_clauses() > 4);
-    }
-
-    #[test]
-    fn bmc_counter_is_unsat_and_conflict_bound() {
-        // The target 2·steps + 1 is one past the reachable maximum, so
-        // the family is unsat at every depth — and refuting it takes
-        // real search, not root propagation.
-        let f = bmc_counter(8);
-        let mut s = sat::Solver::from_formula(&f);
-        assert_eq!(s.solve(), sat::SatResult::Unsat);
-        assert!(s.stats().conflicts > 0, "refutation must require search");
-        // The reachable maximum itself is attainable: lowering the
-        // final state constraint by one flips the verdict.
-        let mut reachable = CnfFormula::new();
-        let width = usize::BITS as usize - (2usize * 8 + 1).leading_zeros() as usize;
-        let target_clauses = f.num_clauses() - width;
-        for (i, c) in f.clauses().iter().enumerate() {
-            if i < target_clauses {
-                reachable.add_clause(c.clone());
-            }
-        }
-        let mut s = sat::Solver::from_formula(&reachable);
-        assert!(s.solve().is_sat(), "dropping the target makes it sat");
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub enum EncoderKind {
 pub struct CheckOptions {
     /// Encoding to use.
     pub encoder: EncoderKind,
-    /// Build a fresh solver per assertion (the paper's formulation of
-    /// `Bᵢ`) instead of reusing one incremental solver. Semantically
-    /// identical; the incremental mode is faster and is the default.
-    pub fresh_solver_per_assert: bool,
     /// Upper bound on enumerated counterexamples per assertion; the
     /// result notes when an assertion was truncated.
     pub max_counterexamples_per_assert: usize,
@@ -50,7 +46,6 @@ impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
             encoder: EncoderKind::Renaming,
-            fresh_solver_per_assert: false,
             max_counterexamples_per_assert: 1024,
             certify: false,
             budget: None,
@@ -72,24 +67,10 @@ pub struct XbmcStats {
     pub truncated_assertions: usize,
     /// Total solver conflicts across every solver this check used.
     pub conflicts: u64,
-    /// Total solver decisions.
-    pub decisions: u64,
-    /// Total solver unit propagations.
-    pub propagations: u64,
-    /// Propagations served by the binary implication lists (a subset
-    /// of `propagations` that never touched the clause arena).
-    pub binary_propagations: u64,
-    /// Total solver restarts.
-    pub restarts: u64,
     /// Long-lived certificate provers created (at most one per
     /// program: the certify path shares a single proof-logging solver
     /// across every held assertion instead of cloning per assertion).
     pub certify_provers: u64,
-    /// Root-level units fixed by formula preprocessing.
-    pub pre_units_fixed: u64,
-    /// Clauses removed by formula preprocessing (tautologies and
-    /// root-satisfied clauses).
-    pub pre_clauses_removed: u64,
     /// Assertions discharged statically before encoding. Only callers
     /// that run the screening tier themselves fill it; the verifier no
     /// longer screens and leaves it 0.
@@ -140,13 +121,7 @@ impl XbmcStats {
             sat_calls,
             truncated_assertions,
             conflicts,
-            decisions,
-            propagations,
-            binary_propagations,
-            restarts,
             certify_provers,
-            pre_units_fixed,
-            pre_clauses_removed,
             assertions_discharged,
             cnf_vars_saved,
             cubes_learned,
@@ -163,13 +138,7 @@ impl XbmcStats {
         self.sat_calls += sat_calls;
         self.truncated_assertions += truncated_assertions;
         self.conflicts += conflicts;
-        self.decisions += decisions;
-        self.propagations += propagations;
-        self.binary_propagations += binary_propagations;
-        self.restarts += restarts;
         self.certify_provers += certify_provers;
-        self.pre_units_fixed += pre_units_fixed;
-        self.pre_clauses_removed += pre_clauses_removed;
         self.assertions_discharged += assertions_discharged;
         self.cnf_vars_saved += cnf_vars_saved;
         self.cubes_learned += cubes_learned;
@@ -183,30 +152,12 @@ impl XbmcStats {
     }
 
     /// Folds one solver's work counters into this check's totals.
+    /// Ingesting a formula neither solves nor shrinks cubes, so a
+    /// solver cloned from a freshly ingested one carries no share of
+    /// another solver's conflicts or cubes.
     fn absorb(&mut self, s: &sat::SolverStats) {
         self.conflicts += s.conflicts;
-        self.decisions += s.decisions;
-        self.propagations += s.propagations;
-        self.binary_propagations += s.binary_propagations;
-        self.restarts += s.restarts;
-        self.pre_units_fixed += s.pre_units_fixed;
-        self.pre_clauses_removed += s.pre_clauses_removed;
         self.cubes_learned += s.cube_shrink_calls;
-    }
-
-    /// Folds in only the work a cloned solver did *since* it was cloned
-    /// from a base solver whose own counters were already absorbed —
-    /// the formula is ingested (and preprocessed) once, so the base's
-    /// share must not be counted once per clone.
-    fn absorb_since(&mut self, s: &sat::SolverStats, base: &sat::SolverStats) {
-        self.conflicts += s.conflicts - base.conflicts;
-        self.decisions += s.decisions - base.decisions;
-        self.propagations += s.propagations - base.propagations;
-        self.binary_propagations += s.binary_propagations - base.binary_propagations;
-        self.restarts += s.restarts - base.restarts;
-        self.pre_units_fixed += s.pre_units_fixed - base.pre_units_fixed;
-        self.pre_clauses_removed += s.pre_clauses_removed - base.pre_clauses_removed;
-        self.cubes_learned += s.cube_shrink_calls - base.cube_shrink_calls;
     }
 }
 
@@ -338,27 +289,16 @@ impl<'a> Xbmc<'a> {
         };
         result.stats.cnf_vars = enc.formula.num_vars();
         result.stats.cnf_clauses = enc.formula.num_clauses();
-        let budget = self.options.budget.unwrap_or_default();
-        // Ingest (and preprocess) the encoded formula exactly once; every
-        // prover this check needs — the shared incremental solver, the
-        // per-assert fresh solvers, the certify provers — is a clone of
-        // this base, which is much cheaper than re-parsing the CNF.
-        let base_solver = {
-            let mut s = Solver::from_formula(&enc.formula);
-            s.set_budget(budget);
-            s
-        };
-        let base_stats = *base_solver.stats();
-        // The base's own work (preprocessing, root propagation) counts
-        // once; clones later report only their delta over this.
-        result.stats.absorb(&base_stats);
-        let mut shared_solver = if self.options.fresh_solver_per_assert {
-            None
-        } else {
-            Some(base_solver.clone())
-        };
+        // Ingest (and preprocess) the encoded formula exactly once. One
+        // incremental solver enumerates every assertion's `Bᵢ`; when
+        // certifying, the prover starts from a copy taken before any
+        // blocking clause is added, which is much cheaper than
+        // re-parsing the CNF.
+        let mut solver = Solver::from_formula(&enc.formula);
+        solver.set_budget(self.options.budget.unwrap_or_default());
+        let mut cert_base = self.options.certify.then(|| solver.clone());
         // One long-lived proof-logging prover certifies every held
-        // assertion (created lazily: most programs with violations
+        // assertion (started lazily: most programs with violations
         // never need it). Clauses it learns while solving under the
         // assumption `violatedᵢ` are implied by the program formula
         // alone — assumptions act as decisions and never enter
@@ -366,9 +306,8 @@ impl<'a> Xbmc<'a> {
         // stays RUP against `certified_formula` and each certificate
         // is the prefix snapshot plus `¬violatedᵢ` (root-falsified
         // when the single-assumption solve answers unsat) and the
-        // empty clause. This replaces a per-assertion clone of
-        // `base_solver`, and learned clauses carry over between
-        // assertions of the same program.
+        // empty clause. Learned clauses carry over between assertions
+        // of the same program.
         let mut cert_prover: Option<Solver> = None;
         // One free selector variable per assertion scopes its blocking
         // clauses: they only bite while that assertion is being
@@ -377,14 +316,6 @@ impl<'a> Xbmc<'a> {
         let selector_base = enc.formula.num_vars();
         for (ai_idx, a) in enc.asserts.iter().enumerate() {
             let selector = cnf::Var::new(selector_base + ai_idx).positive();
-            let mut solver_storage;
-            let solver: &mut Solver = match shared_solver.as_mut() {
-                Some(s) => s,
-                None => {
-                    solver_storage = base_solver.clone();
-                    &mut solver_storage
-                }
-            };
             let mut found: Vec<Counterexample> = Vec::new();
             // Distinct branch assignments emitted so far for this
             // assertion: generalized cubes may overlap (a later cube is
@@ -442,9 +373,6 @@ impl<'a> Xbmc<'a> {
                     }
                 }
             }
-            if self.options.fresh_solver_per_assert {
-                result.stats.absorb_since(solver.stats(), &base_stats);
-            }
             if result.interrupted {
                 // Stop checking further assertions: the engine will
                 // degrade this whole file to a timeout outcome, so
@@ -462,7 +390,7 @@ impl<'a> Xbmc<'a> {
                 // one assertion.
                 let prover = cert_prover.get_or_insert_with(|| {
                     result.stats.certify_provers += 1;
-                    let mut s = base_solver.clone();
+                    let mut s = cert_base.take().expect("certifying run keeps a base copy");
                     s.start_proof();
                     s
                 });
@@ -496,11 +424,9 @@ impl<'a> Xbmc<'a> {
             found.sort_by(|a, b| a.branches.cmp(&b.branches));
             result.counterexamples.extend(found);
         }
-        if let Some(s) = &shared_solver {
-            result.stats.absorb_since(s.stats(), &base_stats);
-        }
+        result.stats.absorb(solver.stats());
         if let Some(p) = &cert_prover {
-            result.stats.absorb_since(p.stats(), &base_stats);
+            result.stats.absorb(p.stats());
         }
         if self.options.certify {
             result.certified_formula = Some(Arc::new(enc.formula));
@@ -670,29 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_solver_mode_matches_incremental() {
-        let src =
-            "<?php $x = 'ok'; if ($a) { $x = $_GET['p']; } echo $x; if ($b) { mysql_query($x); }";
-        let ai = ai_of(src);
-        let inc = Xbmc::new(&ai).check_all();
-        let fresh = Xbmc::with_options(
-            &ai,
-            CheckOptions {
-                fresh_solver_per_assert: true,
-                ..CheckOptions::default()
-            },
-        )
-        .check_all();
-        let key = |r: &CheckResult| {
-            r.counterexamples
-                .iter()
-                .map(|c| (c.assert_id, c.branches.clone()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&inc), key(&fresh));
-    }
-
-    #[test]
     fn counterexample_cap_truncates() {
         // 3 irrelevant branches around the sink → 8 violating paths.
         let ai = ai_of(
@@ -784,13 +687,7 @@ mod tests {
             sat_calls: 3,
             truncated_assertions: 4,
             conflicts: 5,
-            decisions: 6,
-            propagations: 7,
-            binary_propagations: 8,
-            restarts: 9,
             certify_provers: 10,
-            pre_units_fixed: 11,
-            pre_clauses_removed: 12,
             assertions_discharged: 13,
             cnf_vars_saved: 14,
             cubes_learned: 15,
@@ -808,13 +705,7 @@ mod tests {
             sat_calls: 102,
             truncated_assertions: 103,
             conflicts: 104,
-            decisions: 105,
-            propagations: 106,
-            binary_propagations: 107,
-            restarts: 108,
             certify_provers: 109,
-            pre_units_fixed: 110,
-            pre_clauses_removed: 111,
             assertions_discharged: 112,
             cnf_vars_saved: 113,
             cubes_learned: 114,
@@ -833,13 +724,7 @@ mod tests {
         assert_eq!(sum.sat_calls, 105);
         assert_eq!(sum.truncated_assertions, 107);
         assert_eq!(sum.conflicts, 109);
-        assert_eq!(sum.decisions, 111);
-        assert_eq!(sum.propagations, 113);
-        assert_eq!(sum.binary_propagations, 115);
-        assert_eq!(sum.restarts, 117);
         assert_eq!(sum.certify_provers, 119);
-        assert_eq!(sum.pre_units_fixed, 121);
-        assert_eq!(sum.pre_clauses_removed, 123);
         assert_eq!(sum.assertions_discharged, 125);
         assert_eq!(sum.cnf_vars_saved, 127);
         assert_eq!(sum.cubes_learned, 129);
@@ -929,35 +814,12 @@ mod certify_tests {
     #[test]
     fn certify_path_shares_one_prover_per_program() {
         // Two holding assertions: the certify path must build exactly
-        // one proof-logging prover (no per-assertion clone) and the
-        // formula must be preprocessed exactly once for the whole
-        // check — the run's preprocessing counters equal a single
-        // solver ingestion of the certified formula.
+        // one proof-logging prover (no per-assertion clone).
         let ai = ai_of(
             "<?php $a = htmlspecialchars($_GET['x']); echo $a; $b = intval($_GET['y']); mysql_query(\"LIMIT $b\");",
         );
         let r = Xbmc::with_options(&ai, certifying()).check_all();
         assert_eq!(r.certificates.len(), 2);
-        assert_eq!(r.stats.certify_provers, 1);
-        let formula = r.certified_formula.as_ref().expect("certifying run");
-        let single_pass = *Solver::from_formula(formula).stats();
-        assert_eq!(r.stats.pre_units_fixed, single_pass.pre_units_fixed);
-        assert_eq!(r.stats.pre_clauses_removed, single_pass.pre_clauses_removed);
-        assert_eq!(r.verify_certificates().unwrap(), 2);
-    }
-
-    #[test]
-    fn certify_prover_reuse_keeps_fresh_solver_path_working() {
-        let ai = ai_of(
-            "<?php $a = htmlspecialchars($_GET['x']); echo $a; $b = intval($_GET['y']); mysql_query(\"LIMIT $b\");",
-        );
-        let opts = CheckOptions {
-            certify: true,
-            fresh_solver_per_assert: true,
-            ..CheckOptions::default()
-        };
-        let r = Xbmc::with_options(&ai, opts).check_all();
-        assert!(r.is_safe());
         assert_eq!(r.stats.certify_provers, 1);
         assert_eq!(r.verify_certificates().unwrap(), 2);
     }

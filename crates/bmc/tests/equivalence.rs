@@ -82,9 +82,8 @@ fn enumerate_with_reference_solver(ai: &AiProgram) -> Vec<(u32, Vec<bool>)> {
     out
 }
 
-/// Order-independent FNV-1a over a counterexample set — the same
-/// fingerprint `BENCH_sat.json` commits, used here as the equality
-/// oracle for cube expansion.
+/// Order-independent FNV-1a over a counterexample set, used here as the
+/// equality oracle for cube expansion.
 fn fingerprint(counterexamples: &mut [(u32, Vec<bool>)]) -> u64 {
     counterexamples.sort();
     let mut h = 0xcbf29ce484222325u64;
@@ -299,22 +298,16 @@ fn ai_of(src: &str) -> AiProgram {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Both checker modes (incremental and fresh-solver-per-assert)
-    /// report exactly the counterexample set the pre-refactor solver
-    /// enumerates on the same encoding, in the same order.
+    /// The incremental checker reports exactly the counterexample set
+    /// the pre-refactor solver enumerates on the same encoding, in the
+    /// same order.
     #[test]
     fn check_result_matches_reference_enumeration(protos in proto_strategy()) {
         let p = materialize(&protos);
         prop_assume!(p.num_branches <= 8);
         let expected = enumerate_with_reference_solver(&p);
         let incremental = Xbmc::new(&p).check_all();
-        prop_assert_eq!(key(&incremental), expected.clone());
-        let fresh = Xbmc::with_options(
-            &p,
-            CheckOptions { fresh_solver_per_assert: true, ..CheckOptions::default() },
-        )
-        .check_all();
-        prop_assert_eq!(key(&fresh), expected);
+        prop_assert_eq!(key(&incremental), expected);
         prop_assert!(!incremental.interrupted);
     }
 
@@ -404,8 +397,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Cube expansion reproduces the reference solver's exact
-    /// counterexample set — same FNV fingerprint `BENCH_sat.json`
-    /// commits, and the same list element-for-element — across random
+    /// counterexample set — same FNV fingerprint, and the same list
+    /// element-for-element — across random
     /// branchy programs, and the generalization is not vacuous on pure
     /// taint chains.
     #[test]
@@ -975,7 +968,7 @@ fn sql_store_generator_covers_the_new_shapes() {
 
 /// PHP-derived programs through the real front end: the checker on the
 /// arena solver and the reference-solver enumeration must agree on
-/// every seed, in both checker modes and with certification on.
+/// every seed, with certification off and on.
 #[test]
 fn php_derived_programs_match_reference() {
     for seed in 1..=40u64 {
@@ -987,19 +980,18 @@ fn php_derived_programs_match_reference() {
         let expected = enumerate_with_reference_solver(&p);
         let incremental = Xbmc::new(&p).check_all();
         assert_eq!(key(&incremental), expected, "seed {seed}: {src}");
-        let fresh = Xbmc::with_options(
+        let certified = Xbmc::with_options(
             &p,
             CheckOptions {
-                fresh_solver_per_assert: true,
                 certify: true,
                 ..CheckOptions::default()
             },
         )
         .check_all();
-        assert_eq!(key(&fresh), expected, "seed {seed} (fresh): {src}");
+        assert_eq!(key(&certified), expected, "seed {seed} (certify): {src}");
         assert_eq!(
-            fresh.verify_certificates().unwrap(),
-            fresh.certificates.len(),
+            certified.verify_certificates().unwrap(),
+            certified.certificates.len(),
             "seed {seed}: certificates must check"
         );
     }

@@ -87,14 +87,8 @@ impl EngineMetrics {
         );
         let _ = writeln!(
             out,
-            "solver: {} call(s), {} conflict(s), {} decision(s), {} propagation(s); \
-             preprocessing: {} unit(s) fixed, {} clause(s) removed",
-            totals.sat_calls,
-            totals.conflicts,
-            totals.decisions,
-            totals.propagations,
-            totals.pre_units_fixed,
-            totals.pre_clauses_removed,
+            "solver: {} call(s), {} conflict(s)",
+            totals.sat_calls, totals.conflicts,
         );
         let _ = writeln!(
             out,
@@ -139,12 +133,7 @@ impl EngineMetrics {
                     ("queue_wait_us", Value::Num(as_micros(f.queue_wait))),
                     ("duration_us", Value::Num(as_micros(f.duration))),
                     ("conflicts", Value::Num(f.bmc.conflicts)),
-                    ("decisions", Value::Num(f.bmc.decisions)),
-                    ("propagations", Value::Num(f.bmc.propagations)),
-                    ("restarts", Value::Num(f.bmc.restarts)),
                     ("sat_calls", Value::Num(f.bmc.sat_calls as u64)),
-                    ("pre_units_fixed", Value::Num(f.bmc.pre_units_fixed)),
-                    ("pre_clauses_removed", Value::Num(f.bmc.pre_clauses_removed)),
                     ("cubes_learned", Value::Num(f.bmc.cubes_learned)),
                     ("cube_assignments", Value::Num(f.bmc.cube_assignments)),
                 ])
@@ -197,20 +186,10 @@ mod tests {
         // test checks real sums, not one file copied through.
         let mut a = XbmcStats::default();
         a.conflicts = 2;
-        a.decisions = 6;
-        a.propagations = 30;
-        a.restarts = 2;
         a.sat_calls = 1;
-        a.pre_units_fixed = 1;
-        a.pre_clauses_removed = 4;
         let mut b = XbmcStats::default();
         b.conflicts = 17;
-        b.decisions = 40;
-        b.propagations = 200;
-        b.restarts = 1;
         b.sat_calls = 5;
-        b.pre_units_fixed = 9;
-        b.pre_clauses_removed = 3;
         b.cubes_learned = 4;
         b.cube_assignments = 13;
         EngineMetrics {
@@ -246,12 +225,7 @@ mod tests {
     fn totals_aggregate_per_file_counters() {
         let t = sample().totals();
         assert_eq!(t.conflicts, 19);
-        assert_eq!(t.decisions, 46);
-        assert_eq!(t.propagations, 230);
-        assert_eq!(t.restarts, 3);
         assert_eq!(t.sat_calls, 6);
-        assert_eq!(t.pre_units_fixed, 10);
-        assert_eq!(t.pre_clauses_removed, 7);
         assert_eq!(t.cubes_learned, 4);
         assert_eq!(t.cube_assignments, 13);
         let m = sample();
@@ -267,10 +241,7 @@ mod tests {
         assert!(text.contains("a.php"));
         assert!(text.contains("vulnerable"));
         assert!(text.contains("4 cube(s) learned covering 13 assignment(s)"));
-        assert!(text.contains(
-            "solver: 6 call(s), 19 conflict(s), 46 decision(s), 230 propagation(s); \
-             preprocessing: 10 unit(s) fixed, 7 clause(s) removed"
-        ));
+        assert!(text.contains("solver: 6 call(s), 19 conflict(s)\n"));
     }
 
     #[test]
@@ -284,9 +255,27 @@ mod tests {
         assert_eq!(files.len(), 2);
         assert_eq!(files[0].get("worker"), Some(&Value::Null));
         assert_eq!(files[1].get("conflicts").and_then(Value::as_u64), Some(17));
+        assert_eq!(files[1].get("sat_calls").and_then(Value::as_u64), Some(5));
+        // Solver activity is calls and conflicts; the solver's internal
+        // counters stay inside `sat`.
+        let Value::Obj(fields) = &files[1] else {
+            panic!("file entry is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            files[1].get("pre_units_fixed").and_then(Value::as_u64),
-            Some(9)
+            keys,
+            [
+                "file",
+                "outcome",
+                "from_cache",
+                "worker",
+                "queue_wait_us",
+                "duration_us",
+                "conflicts",
+                "sat_calls",
+                "cubes_learned",
+                "cube_assignments",
+            ]
         );
         assert_eq!(
             v.get("total_cube_assignments").and_then(Value::as_u64),

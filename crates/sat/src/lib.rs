@@ -18,8 +18,7 @@
 //! layout) walked in place by propagation, and `add_formula` runs a
 //! root-level preprocessing pass before search; see [`Solver`] for the
 //! data-plane details. The pre-arena implementation is preserved as
-//! [`reference::Solver`] — a differential-testing oracle and the
-//! benchmark baseline.
+//! [`reference::Solver`], the differential-testing oracle.
 //!
 //! Any complete solver preserves xBMC's soundness and completeness; the
 //! tests validate this one against brute-force enumeration on thousands

@@ -1,5 +1,5 @@
 //! The pre-arena CDCL solver, retained verbatim as a differential
-//! oracle and benchmark baseline.
+//! oracle.
 //!
 //! This is the solver as it stood before the clause-arena data-plane
 //! rebuild: each clause is its own heap `Vec<Lit>`, `propagate` does a
@@ -7,12 +7,8 @@
 //! clones clause literals. It is algorithmically identical to
 //! [`Solver`](crate::Solver) (same watched-literal scheme, 1UIP
 //! learning, VSIDS, phase saving, Luby restarts, database reduction),
-//! so it serves two purposes:
-//!
-//! * the equivalence property tests solve the same formulas on both
-//!   engines and demand identical verdicts, and
-//! * the `bench_solver_core` suite measures the arena's speedup
-//!   against it — the "before" number in `BENCH_sat.json`.
+//! so the equivalence property tests solve the same formulas on both
+//! engines and demand identical verdicts.
 //!
 //! Do not use it in production paths; it is deliberately frozen.
 

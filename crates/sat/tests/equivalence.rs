@@ -190,9 +190,12 @@ proptest! {
     }
 }
 
-/// Hard structured instances (pigeonhole) where clause-database
-/// reduction and arena compaction actually trigger: the answers must
-/// still match the reference solver, and proofs must still check.
+/// Hard structured instances (pigeonhole) where the conflict path
+/// runs: every unsat row must conflict on both solvers, and at least
+/// one row must drive the arena solver's clause-database reduction
+/// (PHP(8,7) deletes learned clauses; the smaller rows stay under the
+/// reduction threshold). The answers must match the reference solver,
+/// and proofs must check.
 #[test]
 fn pigeonhole_matches_reference_through_compaction() {
     let php = |pigeons: usize, holes: usize| {
@@ -210,7 +213,8 @@ fn pigeonhole_matches_reference_through_compaction() {
         }
         f
     };
-    for (m, n) in [(5, 4), (6, 5), (5, 6)] {
+    let mut deleted = 0;
+    for (m, n) in [(5, 4), (6, 5), (5, 6), (8, 7)] {
         let f = php(m, n);
         let mut arena = sat::Solver::from_formula(&f);
         arena.start_proof();
@@ -219,10 +223,14 @@ fn pigeonhole_matches_reference_through_compaction() {
         let o = oracle.solve();
         assert_eq!(a.is_sat(), o.is_sat(), "PHP({m},{n})");
         if a.is_unsat() {
+            assert!(arena.stats().conflicts > 0, "PHP({m},{n}) arena");
+            assert!(oracle.stats().conflicts > 0, "PHP({m},{n}) reference");
             let proof = arena.take_proof().expect("recording was on");
             proof
                 .verify_refutation(&f)
                 .unwrap_or_else(|e| panic!("PHP({m},{n}) proof rejected: {e:?}"));
         }
+        deleted += arena.stats().deleted_clauses;
     }
+    assert!(deleted > 0, "no row reached clause-database reduction");
 }

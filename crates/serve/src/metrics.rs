@@ -410,12 +410,7 @@ impl ServerMetrics {
         );
         for (kind, count) in [
             ("conflicts", bmc.conflicts),
-            ("decisions", bmc.decisions),
-            ("propagations", bmc.propagations),
-            ("restarts", bmc.restarts),
             ("calls", bmc.sat_calls as u64),
-            ("pre_units_fixed", bmc.pre_units_fixed),
-            ("pre_clauses_removed", bmc.pre_clauses_removed),
         ] {
             let _ = writeln!(
                 out,
@@ -439,20 +434,6 @@ impl ServerMetrics {
                 "webssari_engine_enumeration_total{{kind=\"{kind}\"}} {count}",
             );
         }
-
-        metric(
-            &mut out,
-            "webssari_sat_binary_propagations_total",
-            "counter",
-            "Propagations served by the solver's binary implication \
-             lists (a subset of solver propagations that never touched \
-             the clause arena).",
-        );
-        let _ = writeln!(
-            out,
-            "webssari_sat_binary_propagations_total {}",
-            bmc.binary_propagations,
-        );
 
         metric(
             &mut out,
@@ -572,8 +553,7 @@ mod tests {
             ..EngineSnapshot::default()
         };
         snap.bmc.sat_calls = 7;
-        snap.bmc.pre_units_fixed = 11;
-        snap.bmc.pre_clauses_removed = 2;
+        snap.bmc.conflicts = 11;
         snap.bmc.cubes_learned = 6;
         snap.bmc.cube_assignments = 19;
         snap.bmc.sql_assertions_checked = 4;
@@ -584,10 +564,12 @@ mod tests {
         assert!(text.contains("webssari_engine_cache_hit_ratio 0.75"));
         assert!(text.contains("webssari_engine_files_total{outcome=\"vulnerable\"} 1"));
         assert!(text.contains("webssari_engine_solver_events_total{kind=\"calls\"} 7"));
-        assert!(text.contains("webssari_engine_solver_events_total{kind=\"pre_units_fixed\"} 11"));
-        assert!(
-            text.contains("webssari_engine_solver_events_total{kind=\"pre_clauses_removed\"} 2")
+        assert!(text.contains("webssari_engine_solver_events_total{kind=\"conflicts\"} 11"));
+        assert_eq!(
+            text.matches("webssari_engine_solver_events_total{").count(),
+            2
         );
+        assert!(!text.contains("webssari_sat_"));
         assert!(text.contains("webssari_engine_enumeration_total{kind=\"cubes_learned\"} 6"));
         assert!(text.contains("webssari_engine_enumeration_total{kind=\"cube_assignments\"} 19"));
         assert!(text.contains("webssari_engine_sql_assertions_total 4"));

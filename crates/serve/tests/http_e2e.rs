@@ -211,39 +211,50 @@ fn solver_counters_flow_to_metrics_and_are_monotone() {
     let server = start(ServerConfig::default());
     let addr = server.local_addr();
 
-    const SOLVER_COUNTERS: [&str; 1] = ["webssari_sat_binary_propagations_total"];
+    const SOLVER_COUNTERS: [&str; 2] = [
+        "webssari_engine_solver_events_total{kind=\"conflicts\"}",
+        "webssari_engine_solver_events_total{kind=\"calls\"}",
+    ];
 
     assert_eq!(status_of(&post(addr, "/verify?file=m1.php", "", SQLI)), 200);
     let first = get(addr, "/metrics");
     assert_eq!(status_of(&first), 200);
-    // The solver keeps Luby restarts and activity reduction only, so
-    // binary propagations are the one `webssari_sat_*` family left:
-    // the retired restart, tier and root-simplification families are
-    // absent.
-    let sat_families: Vec<&str> = first
-        .lines()
-        .filter_map(|l| l.strip_prefix("# TYPE "))
-        .filter_map(|l| l.split(' ').next())
-        .filter(|name| name.starts_with("webssari_sat_"))
-        .collect();
-    assert_eq!(sat_families, SOLVER_COUNTERS, "metrics: {first}");
+    // Solver activity is exported as calls and conflicts only: the
+    // solver's internal counters stay inside `sat`, and no
+    // `webssari_sat_*` family is exposed.
+    assert_eq!(
+        first
+            .lines()
+            .filter(|l| l.starts_with("webssari_engine_solver_events_total{"))
+            .count(),
+        SOLVER_COUNTERS.len(),
+        "metrics: {first}",
+    );
+    assert!(!first.contains("webssari_sat_"), "metrics: {first}");
     let before: Vec<u64> = SOLVER_COUNTERS
         .iter()
         .map(|n| metric_value(&first, n))
         .collect();
+    // The cold vulnerable file reached the solver.
+    assert!(before[1] > 0, "metrics: {first}");
 
     // A second, distinct file misses the cache, so the engine runs the
-    // solver again: every counter is monotone across the two scrapes.
+    // solver again: every counter is monotone across the two scrapes,
+    // and the call count rises.
     let other = "<?php $x = $_GET['b']; echo $x; $y = 'safe'; mysql_query($y);";
     assert_eq!(
         status_of(&post(addr, "/verify?file=m2.php", "", other)),
         200,
     );
     let second = get(addr, "/metrics");
-    for (name, prev) in SOLVER_COUNTERS.iter().zip(before) {
-        let now = metric_value(&second, name);
+    let after: Vec<u64> = SOLVER_COUNTERS
+        .iter()
+        .map(|n| metric_value(&second, n))
+        .collect();
+    for ((name, prev), now) in SOLVER_COUNTERS.iter().zip(&before).zip(&after) {
         assert!(now >= prev, "{name} went backwards: {prev} -> {now}");
     }
+    assert!(after[1] > before[1], "metrics: {second}");
 
     server.shutdown().expect("graceful shutdown");
 }
@@ -700,6 +711,92 @@ fn pipelined_requests_are_answered_in_order() {
         Some("vulnerable"),
         "second response answers the pipelined verify",
     );
+    server.shutdown().expect("graceful shutdown");
+}
+
+#[test]
+fn concurrent_pipelined_connections_are_answered_in_order_from_the_warm_cache() {
+    const CONNECTIONS: usize = 4;
+    const DEPTH: usize = 8;
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    // A pool of four files: distinct names and contents, one verdict
+    // each, so a response that answers the wrong request shows.
+    let pool: Vec<(String, String)> = (0..4)
+        .map(|i| {
+            (
+                format!("pool{i}.php"),
+                format!("<?php /* pool {i} */ $x = $_GET['x{i}']; echo $x;"),
+            )
+        })
+        .collect();
+    let request = |(name, source): &(String, String)| {
+        format!(
+            "POST /verify?file={name} HTTP/1.1\r\nHost: t\r\n\
+             Content-Length: {}\r\n\r\n{source}",
+            source.len(),
+        )
+    };
+    // Reads `files.len()` responses off one connection, in request
+    // order, checking each is a 200 naming its file.
+    let read_in_order = |stream: &mut TcpStream, files: &[&(String, String)]| -> Vec<bool> {
+        files
+            .iter()
+            .map(|(name, _)| {
+                let response = read_framed(stream);
+                assert_eq!(status_of(&response), 200, "{response}");
+                let v = json_of(&response);
+                assert_eq!(v.get("file").and_then(Value::as_str), Some(name.as_str()));
+                assert_eq!(
+                    v.get("outcome").and_then(Value::as_str),
+                    Some("vulnerable"),
+                    "{name}",
+                );
+                v.get("from_cache") == Some(&Value::Bool(true))
+            })
+            .collect()
+    };
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+
+    // Cold: each pool file once, pipelined on one connection.
+    let mut cold = connect();
+    let cold_files: Vec<&(String, String)> = pool.iter().collect();
+    let bytes: String = cold_files.iter().map(|f| request(f)).collect();
+    cold.write_all(bytes.as_bytes()).unwrap();
+    assert_eq!(
+        read_in_order(&mut cold, &cold_files),
+        vec![false; pool.len()]
+    );
+    let hits_before = metric_value(&get(addr, "/metrics"), "webssari_engine_cache_hits_total");
+
+    // Warm: four connections at once, each pipelining eight requests
+    // in one write. Every request repeats a pool file.
+    std::thread::scope(|scope| {
+        for c in 0..CONNECTIONS {
+            let (pool, request, read_in_order, connect) =
+                (&pool, &request, &read_in_order, &connect);
+            scope.spawn(move || {
+                let files: Vec<&(String, String)> =
+                    (0..DEPTH).map(|i| &pool[(c + i) % pool.len()]).collect();
+                let mut stream = connect();
+                let bytes: String = files.iter().map(|f| request(f)).collect();
+                stream.write_all(bytes.as_bytes()).unwrap();
+                assert_eq!(
+                    read_in_order(&mut stream, &files),
+                    vec![true; DEPTH],
+                    "connection {c}: every repeat is a cache hit",
+                );
+            });
+        }
+    });
+    let hits_after = metric_value(&get(addr, "/metrics"), "webssari_engine_cache_hits_total");
+    assert_eq!(hits_after - hits_before, (CONNECTIONS * DEPTH) as u64);
     server.shutdown().expect("graceful shutdown");
 }
 

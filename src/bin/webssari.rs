@@ -65,7 +65,8 @@ COMMANDS:
              else 3 if any file was skipped (not verified), else 0.
     lint     Static lint pass only (no SAT): taint findings, dead
              sanitizers, unreachable code, approximation points — with
-             stable rule ids. Exits 1 if any error-level finding exists.
+             stable rule ids. Exits 1 if any error-level finding exists,
+             else 3 if any file was skipped (not analyzed), else 0.
              With --sarif FILE a SARIF 2.1.0 report is also written.
     patch    Insert runtime sanitization guards. By default writes
              <file>.patched.php; --write rewrites files in place.
@@ -505,6 +506,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
     let filter_options = FilterOptions::default();
     let mut diagnostics = Vec::new();
+    let mut skipped: Vec<(String, String)> = Vec::new();
     for (name, src) in sources.iter() {
         let result = if opts.multiclass {
             lint_file(
@@ -525,7 +527,10 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         };
         match result {
             Ok(ds) => diagnostics.extend(ds),
-            Err(e) => eprintln!("SKIPPED {name}: {e}"),
+            Err(e) => {
+                eprintln!("SKIPPED {name}: {e}");
+                skipped.push((name.to_owned(), e.to_string()));
+            }
         }
     }
     for d in &diagnostics {
@@ -539,22 +544,29 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         .iter()
         .filter(|d| d.severity == Severity::Warning)
         .count();
+    // A skipped file was never analyzed, so it must not read as clean.
     println!(
-        "{} finding(s) in {} file(s): {} error(s), {} warning(s), {} note(s)",
+        "{} finding(s) in {} file(s): {} error(s), {} warning(s), {} note(s){}",
         diagnostics.len(),
         sources.len(),
         errors,
         warnings,
         diagnostics.len() - errors - warnings,
+        match skipped.len() {
+            0 => String::new(),
+            n => format!("; {n} skipped"),
+        },
     );
     if let Some(path) = &opts.sarif {
-        if let Err(e) = std::fs::write(path, to_sarif_json(&diagnostics)) {
+        if let Err(e) = std::fs::write(path, to_sarif_json(&diagnostics, &skipped)) {
             return fail(&format!("cannot write {}: {e}", path.display()));
         }
         println!("SARIF report written to {}", path.display());
     }
     if errors > 0 {
         ExitCode::FAILURE
+    } else if !skipped.is_empty() {
+        ExitCode::from(3)
     } else {
         ExitCode::SUCCESS
     }

@@ -126,6 +126,62 @@ fn lint_exits_zero_on_clean_tree() {
 }
 
 #[test]
+fn lint_counts_skipped_files_and_exits_3() {
+    // A file lint never analyzed must not read as clean: the totals
+    // count it, the exit code is 3 unless a finding is an error, and
+    // the SARIF run reports it as a failed invocation.
+    let syntax = "<?php if ( { ";
+    let dir = scratch(&[("syn.php", syntax), ("safe.php", SAFE)]);
+    let sarif = dir.join("lint.sarif");
+    let out = webssari()
+        .args(["lint", dir.to_str().unwrap(), "--sarif"])
+        .arg(&sarif)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stdout}{stderr}");
+    assert!(stderr.contains("SKIPPED syn.php"), "{stderr}");
+    let totals = stdout
+        .lines()
+        .find(|l| l.contains(" finding(s) in "))
+        .unwrap_or_default();
+    assert_eq!(
+        totals,
+        "0 finding(s) in 2 file(s): 0 error(s), 0 warning(s), 0 note(s); 1 skipped"
+    );
+    let json = std::fs::read_to_string(&sarif).expect("SARIF written");
+    assert!(json.contains("\"executionSuccessful\":false"), "{json}");
+    assert!(
+        json.contains("\"toolExecutionNotifications\":[{\"level\":\"error\""),
+        "{json}"
+    );
+    assert!(json.contains("\"uri\":\"syn.php\""), "{json}");
+
+    // An error finding still exits 1, and the skip is still counted.
+    let dir = scratch(&[("syn.php", syntax), ("index.php", VULN)]);
+    let out = webssari()
+        .args(["lint", dir.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.trim_end().ends_with("; 1 skipped"), "{stdout}");
+
+    // With nothing skipped, the SARIF run carries no invocation.
+    let dir = scratch(&[("safe.php", SAFE)]);
+    let sarif = dir.join("lint.sarif");
+    let out = webssari()
+        .args(["lint", dir.to_str().unwrap(), "--sarif"])
+        .arg(&sarif)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let json = std::fs::read_to_string(&sarif).expect("SARIF written");
+    assert!(!json.contains("invocations"), "{json}");
+}
+
+#[test]
 fn zero_solve_budget_verifies_ts_clean_files_and_times_out_the_rest() {
     // A file the typestate pass finds clean never enters the solver, so
     // even a zero budget cannot interrupt it; a file with a TS error
